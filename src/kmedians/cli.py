@@ -25,7 +25,6 @@ from .evaluation import adjusted_rand_index, centroid_l1_error, summarize_trials
 from .selection import run_selection
 from .simulation import (
     ContaminationSpec,
-    LabeledDataset,
     MixtureSpec,
     contaminate,
     make_scenario,
@@ -40,7 +39,6 @@ _CONTAM_STREAM = 52
 _SPHERE_STREAM = 53
 _RUN_STREAM = 54
 
-_SCENARIO_KTRUE = {"s1": 1, "s2": 4, "s3": 5, "sphere10": 10}
 _SCENARIO_KMAX = {"s1": 10, "s2": 15, "s3": 15, "sphere10": 20}
 
 _LAWS = {
@@ -58,18 +56,24 @@ def derive_seed(*keys: int) -> int:
 # dataset I/O
 
 
+def _read_header(f, path):
+    """(stripped header, reader over the data rows) of an open CSV file."""
+    reader = csv.reader(f)
+    try:
+        return [h.strip() for h in next(reader)], reader
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+
+
 def load_csv(path: str):
     """Read a points CSV: numeric columns plus optional label/contaminated.
 
     Returns (points, labels or None, mask or None). The header row is
-    required; parse failures report the offending row number.
+    required; parse failures and non-finite fields report the offending
+    row number.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header, reader = _read_header(f, path)
         if all(_is_number(h) for h in header):
             raise ValueError(f"{path}: header row required (first row is numeric)")
         label_col = header.index("label") if "label" in header else None
@@ -77,25 +81,30 @@ def load_csv(path: str):
         coord_cols = [i for i in range(len(header)) if i not in (label_col, mask_col)]
         if not coord_cols:
             raise ValueError(f"{path}: no coordinate columns")
-        pts, labels, mask = [], [], []
+        rows = []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {rownum}: expected {len(header)} fields, "
                                  f"got {len(row)}")
             try:
-                pts.append([float(row[i]) for i in coord_cols])
-                if label_col is not None:
-                    labels.append(int(float(row[label_col])))
-                if mask_col is not None:
-                    mask.append(float(row[mask_col]) != 0.0)
+                rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}: row {rownum}: non-numeric field") from None
-        if not pts:
+        if not rows:
             raise ValueError(f"{path}: no data rows")
-    points = np.array(pts)
-    return (points,
-            np.array(labels, dtype=int) if label_col is not None else None,
-            np.array(mask, dtype=bool) if mask_col is not None else None)
+    table = np.array(rows)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite field")
+    if label_col is not None:
+        too_big = np.abs(table[:, label_col]) >= 2.0**63
+        if too_big.any():
+            raise ValueError(f"{path}: row {int(np.argmax(too_big)) + 2}: label out of range")
+    # column selection yields a column-major copy; keep points row-major so that
+    # reductions over them sum in the same order as for a parsed row list
+    return (np.ascontiguousarray(table[:, coord_cols]),
+            table[:, label_col].astype(int) if label_col is not None else None,
+            table[:, mask_col] != 0.0 if mask_col is not None else None)
 
 
 def _is_number(s: str) -> bool:
@@ -109,11 +118,7 @@ def _is_number(s: str) -> bool:
 def load_labels_csv(path: str) -> np.ndarray:
     """Read a predicted-labels CSV: the 'label' column, or a single column."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header, reader = _read_header(f, path)
         if "label" in header:
             idx = header.index("label")
         elif len(header) == 1:
@@ -129,15 +134,6 @@ def load_labels_csv(path: str) -> np.ndarray:
     if not out:
         raise ValueError(f"{path}: no data rows")
     return np.array(out, dtype=int)
-
-
-def write_dataset_csv(path: Path, data: LabeledDataset):
-    d = data.points.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{i}" for i in range(d)] + ["label", "contaminated"])
-        for row, lab, con in zip(data.points, data.true_labels, data.contaminated):
-            w.writerow([repr(float(v)) for v in row] + [int(lab), int(con)])
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -175,37 +171,44 @@ def write_report(out_dir: Path, report: dict) -> Path:
 # shared config plumbing
 
 
-def _dataset_from_args(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
-    """Resolve --input / --scenario (+ contamination) into points and truth."""
+def _dataset_from_args(args):
+    """Resolve --input / --scenario into (points, labels, mask, truth centers or None)."""
     if args.input and args.scenario:
         raise ConfigError("--input and --scenario are mutually exclusive")
     if args.input:
-        points, labels, mask = load_csv(args.input)
-        return points, labels, mask, {"source": args.input, "truth_centers": None}
+        return (*load_csv(args.input), None)
     if not args.scenario:
         raise ConfigError("one of --input or --scenario is required")
-    data, truth_centers = _make_scenario_data(args.scenario, args.seed,
-                                              args.points_per_cluster)
-    rho = getattr(args, "rho", 0.0) or 0.0
-    if rho > 0:
-        spec = ContaminationSpec(rho=rho, **_LAWS[args.law])
-        data = contaminate(data, spec, seed=derive_seed(args.seed, _CONTAM_STREAM))
-    return data.points, data.true_labels, data.contaminated, {
-        "source": args.scenario, "truth_centers": truth_centers}
+    data, truth_centers = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
+                                         args.rho, args.law)
+    return data.points, data.true_labels, data.contaminated, truth_centers
 
 
-def _make_scenario_data(scenario: str, seed: int, points_per_cluster: int | None):
+def _contamination(rho: float, law: str) -> ContaminationSpec:
+    """The contamination of a --rho / --law pair; raises ValueError unless 0 <= rho <= 0.5."""
+    return ContaminationSpec(rho=rho, **_LAWS[law])
+
+
+def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho: float,
+                   law: str, contam_seed: int | None = None):
+    """A named scenario drawn from `seed`, contaminated when rho > 0.
+
+    Returns (LabeledDataset, generating centers). The contamination draw
+    uses `contam_seed`, derived from `seed` unless given.
+    """
+    spec = _contamination(rho, law)
     data_seed = derive_seed(seed, _DATA_STREAM)
     if scenario == "sphere10":
         centers = sphere_centers(10, 10.0, 5, seed=derive_seed(seed, _SPHERE_STREAM))
-        ppc = points_per_cluster or 500
-        return sample_mixture(MixtureSpec(centers, ppc), seed=data_seed), centers
-    data = make_scenario(scenario, seed=data_seed)
-    centers = None
-    if scenario == "s1":
-        centers = np.full((1, 10), 0.5)
+        data = sample_mixture(MixtureSpec(centers, points_per_cluster or 500), seed=data_seed)
     else:
-        centers = np.array(data.spec["centers"])
+        data = make_scenario(scenario, seed=data_seed)
+        centers = (np.full((1, 10), 0.5) if scenario == "s1"
+                   else np.array(data.spec["centers"]))
+    if rho > 0:
+        if contam_seed is None:
+            contam_seed = derive_seed(seed, _CONTAM_STREAM)
+        data = contaminate(data, spec, seed=contam_seed)
     return data, centers
 
 
@@ -221,14 +224,15 @@ def _algo_params(args) -> dict:
                 median_tol=args.median_tol)
 
 
-def _evaluation_block(labels, true_labels, mask, est_centers, truth_centers):
+def _evaluation_block(labels, true_labels, mask, est_centers, truth_centers, n=None):
+    """ARI, ARI on the uncontaminated points and centroid error, as available; `n` follows ARI."""
     if true_labels is None:
         return None
     block = {"ari": adjusted_rand_index(true_labels, labels)}
-    if mask is not None and mask.any():
-        keep = ~mask
-        if keep.sum() >= 2:
-            block["ari_uncontaminated"] = adjusted_rand_index(true_labels[keep], labels[keep])
+    if n is not None:
+        block["n"] = n
+    if mask is not None and mask.any() and (~mask).sum() >= 2:
+        block["ari_uncontaminated"] = adjusted_rand_index(true_labels[~mask], labels[~mask])
     if truth_centers is not None and est_centers is not None:
         block["centroid_l1_error"] = centroid_l1_error(truth_centers, est_centers)
     return block
@@ -295,87 +299,84 @@ def _prepare_out(args) -> Path:
 # subcommands
 
 
-def cmd_cluster(args) -> int:
-    if args.k is None:
-        raise ConfigError("cluster requires --k")
+def _fit_and_report(args) -> int:
+    """Fit at --k or, with --k unset, select k by --method; write labels.csv, a
+    selection's curve/windows/projection CSVs, and report.json."""
     _check_algorithm(args.algorithm)
     out = _prepare_out(args)
-    points, true_labels, mask, meta = _dataset_from_args(args)
+    points, true_labels, mask, truth_centers = _dataset_from_args(args)
+    seed = derive_seed(args.seed, _RUN_STREAM)
     t0 = time.perf_counter()
-    result = run_clustering(points, args.k, args.algorithm,
-                            seed=derive_seed(args.seed, _RUN_STREAM), **_algo_params(args))
-    log.info("cluster: fitted k=%d in %.2fs", args.k, time.perf_counter() - t0)
-    _write_csv(out / "labels.csv", ["label"], [[int(v)] for v in result.labels])
-    report = {
-        "command": args.command,
-        "config": _echo(args),
-        "selection": None,
-        "clustering": _clustering_block(result),
-        "evaluation": _evaluation_block(result.labels, true_labels, mask,
-                                        result.centers, meta["truth_centers"]),
-        "outputs": {"labels": "labels.csv"},
-    }
-    write_report(out, report)
-    return 0
-
-
-def cmd_select(args) -> int:
-    if args.method == "none":
-        if args.k is None:
-            raise ConfigError("--method none requires --k")
-        return cmd_cluster(args)
     if args.k is not None:
-        raise ConfigError("--k conflicts with a selection method; use --k-max")
-    if args.k_max is None:
-        raise ConfigError("select requires --k-max")
-    _check_algorithm(args.algorithm)
-    out = _prepare_out(args)
-    points, true_labels, mask, meta = _dataset_from_args(args)
-    t0 = time.perf_counter()
-    report_sel, result, curve = run_selection(
-        points, args.method, args.k_max, args.algorithm,
-        seed=derive_seed(args.seed, _RUN_STREAM), min_window=args.min_window,
-        gap_b=args.gap_b, silhouette_metric=args.silhouette_metric, **_algo_params(args))
-    log.info("select: method=%s k_hat=%d in %.2fs", args.method, report_sel.k_hat,
-             time.perf_counter() - t0)
-
-    outputs = {"labels": "labels.csv", "curve": "curve.csv", "projection": "projection.csv"}
-    _write_csv(out / "labels.csv", ["label"], [[int(v)] for v in result.labels])
-    if curve is not None:
-        _write_csv(out / "curve.csv", ["k", "distortion", "criterion"],
-                   zip(curve.ks.tolist(), curve.distortions, report_sel.criterion_values))
-        _write_csv(out / "windows.csv", ["window", "slope", "k_hat"],
-                   report_sel.window_table)
-        outputs["windows"] = "windows.csv"
+        report_sel = None
+        result = run_clustering(points, args.k, args.algorithm, seed=seed,
+                                **_algo_params(args))
+        log.info("cluster: fitted k=%d in %.2fs", args.k, time.perf_counter() - t0)
     else:
-        _write_csv(out / "curve.csv", ["k", "criterion"],
-                   zip(report_sel.ks.tolist(), report_sel.criterion_values))
-    proj = pca_projection(points)
-    _write_csv(out / "projection.csv", ["pc1", "pc2", "label"],
-               [(p[0], p[1], int(lab)) for p, lab in zip(proj, result.labels)])
+        report_sel, result, curve = run_selection(
+            points, args.method, args.k_max, args.algorithm, seed=seed,
+            min_window=args.min_window, gap_b=args.gap_b,
+            silhouette_metric=args.silhouette_metric, **_algo_params(args))
+        log.info("select: method=%s k_hat=%d in %.2fs", args.method, report_sel.k_hat,
+                 time.perf_counter() - t0)
+
+    outputs = {"labels": "labels.csv"}
+    _write_csv(out / "labels.csv", ["label"], [[int(v)] for v in result.labels])
+    if report_sel is not None:
+        outputs.update(curve="curve.csv", projection="projection.csv")
+        if curve is not None:
+            _write_csv(out / "curve.csv", ["k", "distortion", "criterion"],
+                       zip(curve.ks.tolist(), curve.distortions, report_sel.criterion_values))
+            _write_csv(out / "windows.csv", ["window", "slope", "k_hat"],
+                       report_sel.window_table)
+            outputs["windows"] = "windows.csv"
+        else:
+            _write_csv(out / "curve.csv", ["k", "criterion"],
+                       zip(report_sel.ks.tolist(), report_sel.criterion_values))
+        proj = pca_projection(points)
+        _write_csv(out / "projection.csv", ["pc1", "pc2", "label"],
+                   [(p[0], p[1], int(lab)) for p, lab in zip(proj, result.labels)])
 
     report = {
         "command": args.command,
         "config": _echo(args),
-        "selection": _selection_block(report_sel),
+        "selection": None if report_sel is None else _selection_block(report_sel),
         "clustering": _clustering_block(result),
         "evaluation": _evaluation_block(result.labels, true_labels, mask,
-                                        result.centers, meta["truth_centers"]),
+                                        result.centers, truth_centers),
         "outputs": outputs,
     }
     write_report(out, report)
     return 0
 
 
+def cmd_cluster(args) -> int:
+    if args.k is None:
+        raise ConfigError("cluster requires --k")
+    return _fit_and_report(args)
+
+
+def cmd_select(args) -> int:
+    if args.method == "none":
+        if args.k is None:
+            raise ConfigError("--method none requires --k")
+    elif args.k is not None:
+        raise ConfigError("--k conflicts with a selection method; use --k-max")
+    elif args.k_max is None:
+        raise ConfigError("select requires --k-max")
+    return _fit_and_report(args)
+
+
 def cmd_simulate(args) -> int:
     if not args.scenario:
         raise ConfigError("simulate requires --scenario")
     out = _prepare_out(args)
-    data, _ = _make_scenario_data(args.scenario, args.seed, args.points_per_cluster)
-    if args.rho and args.rho > 0:
-        spec = ContaminationSpec(rho=args.rho, **_LAWS[args.law])
-        data = contaminate(data, spec, seed=derive_seed(args.seed, _CONTAM_STREAM))
-    write_dataset_csv(out / "dataset.csv", data)
+    data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
+                             args.rho, args.law)
+    _write_csv(out / "dataset.csv",
+               [f"x{i}" for i in range(data.points.shape[1])] + ["label", "contaminated"],
+               ([*row, int(lab), int(con)] for row, lab, con
+                in zip(data.points, data.true_labels, data.contaminated)))
     report = {
         "command": args.command,
         "config": _echo(args),
@@ -391,16 +392,18 @@ def cmd_bench(args) -> int:
     if not args.scenario:
         raise ConfigError("bench requires --scenario")
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     ppc = args.points_per_cluster or (500 if args.full else 200)
     k_max = args.k_max or _SCENARIO_KMAX[args.scenario]
-    k_true = _SCENARIO_KTRUE[args.scenario]
     algorithms = [a.strip() for a in args.algorithm.split(",")]
     if "all" in algorithms:
         algorithms = list(ALGORITHMS)
     for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}")
+        _check_algorithm(a)
     rhos = [float(r) for r in str(args.rho).split(",")] if args.rho else [0.0]
+    for rho in rhos:
+        _contamination(rho, args.law)
 
     out = _prepare_out(args)
     rows = []
@@ -409,11 +412,9 @@ def cmd_bench(args) -> int:
             per_trial = []
             for t in range(trials):
                 t0 = time.perf_counter()
-                data, truth_centers = _make_scenario_data(
-                    args.scenario, derive_seed(args.seed, 61, t), ppc)
-                if rho > 0:
-                    spec = ContaminationSpec(rho=rho, **_LAWS[args.law])
-                    data = contaminate(data, spec, seed=derive_seed(args.seed, 62, t))
+                data, truth_centers = _scenario_data(
+                    args.scenario, derive_seed(args.seed, 61, t), ppc, rho, args.law,
+                    contam_seed=derive_seed(args.seed, 62, t))
                 report_sel, result, _ = run_selection(
                     data.points, args.method, k_max, algorithm,
                     seed=derive_seed(args.seed, 63, t), min_window=args.min_window,
@@ -426,7 +427,7 @@ def cmd_bench(args) -> int:
                 log.info("bench: %s rho=%g trial=%d k_hat=%d ari=%.3f (%.2fs)",
                          algorithm, rho, t, report_sel.k_hat, ari,
                          time.perf_counter() - t0)
-            s = summarize_trials(per_trial, k_true)
+            s = summarize_trials(per_trial, truth_centers.shape[0])
             rows.append([args.scenario, args.method, algorithm, args.law, rho,
                          s.trials, s.n_correct, s.k_bar, s.ari_mean, s.l1_error_median])
 
@@ -448,6 +449,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --input (dataset with a label column)")
     if not args.labels:
         raise ConfigError("evaluate requires --labels")
+    if bool(args.true_centers) != bool(args.pred_centers):
+        raise ConfigError("--true-centers and --pred-centers must be given together")
     out = _prepare_out(args)
     points, true_labels, mask, _ = _dataset_from_args(args)
     if true_labels is None:
@@ -455,13 +458,12 @@ def cmd_evaluate(args) -> int:
     pred = load_labels_csv(args.labels)
     if pred.shape[0] != points.shape[0]:
         raise ValueError(f"{args.labels}: {pred.shape[0]} labels for {points.shape[0]} points")
-    block = {"ari": adjusted_rand_index(true_labels, pred), "n": int(points.shape[0])}
-    if mask is not None and mask.any() and (~mask).sum() >= 2:
-        block["ari_uncontaminated"] = adjusted_rand_index(true_labels[~mask], pred[~mask])
-    if args.true_centers and args.pred_centers:
-        tc, _, _ = load_csv(args.true_centers)
-        pc, _, _ = load_csv(args.pred_centers)
-        block["centroid_l1_error"] = centroid_l1_error(tc, pc)
+    true_centers = pred_centers = None
+    if args.true_centers:
+        true_centers = load_csv(args.true_centers)[0]
+        pred_centers = load_csv(args.pred_centers)[0]
+    block = _evaluation_block(pred, true_labels, mask, pred_centers, true_centers,
+                              n=int(points.shape[0]))
     report = {"command": args.command, "config": _echo(args), "evaluation": block,
               "outputs": {}}
     write_report(out, report)
@@ -472,25 +474,24 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, data: bool = True, rho_grid: bool = False):
+def _add_common(p: argparse.ArgumentParser, *, rho_grid: bool = False):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    if data:
-        p.add_argument("--input", help="points CSV (header required; optional "
-                                       "label/contaminated columns)")
-        p.add_argument("--scenario", choices=["s1", "s2", "s3", "sphere10"],
-                       help="generate a named synthetic dataset instead of --input")
-        p.add_argument("--points-per-cluster", type=int, default=None,
-                       help="override cluster size for sphere10")
-        if rho_grid:
-            p.add_argument("--rho", default="0",
-                           help="comma-separated contamination proportions (default '0')")
-        else:
-            p.add_argument("--rho", type=float, default=0.0,
-                           help="contamination proportion for generated data (default 0)")
-        p.add_argument("--law", choices=sorted(_LAWS), default="t1",
-                       help="contamination law (default t1)")
+    p.add_argument("--input", help="points CSV (header required; optional "
+                                   "label/contaminated columns)")
+    p.add_argument("--scenario", choices=["s1", "s2", "s3", "sphere10"],
+                   help="generate a named synthetic dataset instead of --input")
+    p.add_argument("--points-per-cluster", type=int, default=None,
+                   help="override cluster size for sphere10")
+    if rho_grid:
+        p.add_argument("--rho", default="0",
+                       help="comma-separated contamination proportions (default '0')")
+    else:
+        p.add_argument("--rho", type=float, default=0.0,
+                       help="contamination proportion for generated data (default 0)")
+    p.add_argument("--law", choices=sorted(_LAWS), default="t1",
+                   help="contamination law (default t1)")
 
 
 def _add_algo(p: argparse.ArgumentParser, *, multi: bool = False):
@@ -573,22 +574,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_to_argv(cfg: dict) -> list[str]:
+def _config_to_argv(cfg: dict, parser: argparse.ArgumentParser) -> list[str]:
+    """Flags replaying `cfg` under a subcommand parser: keys it has no option for are
+    dropped, switches are passed when true, and other values are parsed as if typed."""
     argv = []
-    for key, value in cfg.items():
-        if key == "command" or value is None:
+    for action in parser._actions:
+        value = cfg.get(action.dest)
+        if not action.option_strings or value is None:
             continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
+        if action.nargs == 0:
             if value:
-                argv.append(flag)
+                argv.append(action.option_strings[-1])
         else:
-            argv.extend([flag, str(value)])
+            argv.extend([action.option_strings[-1], str(value)])
     return argv
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     if "--config" in argv:
         i = argv.index("--config")
         if i + 1 >= len(argv):
@@ -607,12 +611,14 @@ def main(argv=None) -> int:
         if not command:
             print("error: --config document does not name a command", file=sys.stderr)
             return 2
-        argv = [command] + _config_to_argv(cfg) + rest
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        # an unknown command is left for argparse to report
+        replay = _config_to_argv(cfg, commands[command]) if command in commands else []
+        argv = [command] + replay + rest
 
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
-                        level=logging.INFO if getattr(args, "verbose", False)
-                        else logging.WARNING)
+                        level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except ConfigError as e:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kmedians.cli
 from kmedians import weiszfeld_median
 from kmedians.cli import load_csv, main
 
@@ -98,9 +100,14 @@ def test_input_and_scenario_conflict(tmp_path):
 
 def test_malformed_row_reports_line(tmp_path, capsys):
     data = tmp_path / "bad.csv"
-    data.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
-    assert run_cli("cluster", "--input", data, "--k", 1, "--out", tmp_path / "o") == 3
-    assert "row 3" in capsys.readouterr().err
+    for bad_row, problem in (("3.0,oops,0", "non-numeric field"),
+                             ("nan,1.0,0", "non-finite field"),
+                             ("3.0,-inf,0", "non-finite field"),
+                             ("3.0,4.0,inf", "non-finite field"),
+                             ("3.0,4.0,1e20", "label out of range")):
+        data.write_text(f"x0,x1,label\n1.0,2.0,0\n{bad_row}\n5.0,6.0,1\n")
+        assert run_cli("cluster", "--input", data, "--k", 1, "--out", tmp_path / "o") == 3
+        assert f"row 3: {problem}" in capsys.readouterr().err
 
 
 def test_header_required(tmp_path):
@@ -108,6 +115,40 @@ def test_header_required(tmp_path):
     data.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="header"):
         load_csv(str(data))
+
+
+def test_cluster_and_select_none_agree(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    reports = []
+    for name, argv in (("cl", ("cluster",)), ("se", ("select", "--method", "none"))):
+        assert run_cli(*argv, "--input", data, "--k", 2, "--seed", 3,
+                       "--out", tmp_path / name) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    assert (tmp_path / "cl" / "labels.csv").read_bytes() == \
+        (tmp_path / "se" / "labels.csv").read_bytes()
+    for block in ("clustering", "evaluation"):
+        assert reports[0][block] == reports[1][block]
+
+
+def test_cli_reaches_traced_entry_points(tmp_path, monkeypatch):
+    """cluster and select call the module-level names the benchmark's tracer patches."""
+    calls = Counter()
+    for name in ("run_clustering", "run_selection", "load_csv", "_write_csv", "write_report"):
+        def counted(*args, _name=name, _fn=getattr(kmedians.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(kmedians.cli, name, counted)
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+
+    assert run_cli("cluster", "--input", data, "--k", 2, "--out", tmp_path / "cl") == 0
+    assert calls == {"load_csv": 1, "run_clustering": 1, "_write_csv": 1, "write_report": 1}
+    calls.clear()
+    assert run_cli("select", "--input", data, "--method", "slope", "--k-max", 4,
+                   "--out", tmp_path / "se") == 0
+    # labels, curve, windows and projection
+    assert calls == {"load_csv": 1, "run_selection": 1, "_write_csv": 4, "write_report": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +247,14 @@ def test_simulate_roundtrips_through_load(tmp_path):
     assert (labels[mask] == -1).all()
 
 
+def test_simulate_rejects_out_of_range_rho(tmp_path, capsys):
+    for rho in (-0.1, 0.6):
+        out = tmp_path / str(rho)
+        assert run_cli("simulate", "--scenario", "s2", "--rho", rho, "--out", out) == 3
+        assert "rho must lie in [0, 0.5]" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -222,6 +271,19 @@ def test_bench_small_sphere(tmp_path):
         assert 0 <= int(row["n_correct"]) <= 2
         assert -1.0 <= float(row["ari_mean"]) <= 1.0
     assert {r["algorithm"] for r in rows} == {"online", "kmeans"}
+
+
+def test_bench_rejects_bad_rho_before_first_trial(tmp_path, monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the rho list was checked")
+
+    monkeypatch.setattr(kmedians.cli, "run_selection", no_trial)
+    for rhos in ("-0.2", "0,0.9"):
+        out = tmp_path / rhos
+        assert run_cli("bench", "--scenario", "sphere10", "--points-per-cluster", 20,
+                       "--trials", 1, "--k-max", 4, "--rho", rhos, "--out", out) == 3
+        assert "rho must lie in [0, 0.5]" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +303,23 @@ def test_evaluate_labels(tmp_path):
     assert run_cli("evaluate", "--input", data, "--labels", pred, "--out", out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["evaluation"]["ari"] == 1.0
+
+
+def test_evaluate_takes_center_files_as_a_pair(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("label\n" + "\n".join(["0"] * 40 + ["1"] * 40) + "\n")
+    centers = tmp_path / "centers.csv"
+    centers.write_text("x0,x1\n-10.0,0.0\n10.0,0.0\n")
+    base = ("evaluate", "--input", data, "--labels", pred)
+    assert run_cli(*base, "--true-centers", centers, "--out", tmp_path / "a") == 2
+    assert run_cli(*base, "--pred-centers", centers, "--out", tmp_path / "b") == 2
+    assert run_cli(*base, "--true-centers", centers, "--pred-centers", centers,
+                   "--out", tmp_path / "c") == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert list(report["evaluation"]) == ["ari", "n", "centroid_l1_error"]
+    assert report["evaluation"]["centroid_l1_error"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +364,18 @@ def test_config_roundtrip_reproduces_run(tmp_path, monkeypatch):
     assert run_cli("--config", cwd_a / "run" / "report.json") == 0
     second = tree_bytes(cwd_b / "run")
     assert first == second
+
+
+def test_config_replays_under_another_subcommand(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    assert run_cli("select", "--input", data, "--method", "slope", "--k-max", 4,
+                   "--gap-b", 7, "--out", tmp_path / "sel") == 0
+    out = tmp_path / "cl"
+    assert run_cli("--config", tmp_path / "sel" / "report.json", "cluster", "--k", 2,
+                   "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["command"] == "cluster"
+    assert report["config"]["k"] == 2 and report["config"]["input"] == str(data)
+    assert not {"gap_b", "k_max", "method", "min_window",
+                "silhouette_metric"} & set(report["config"])
