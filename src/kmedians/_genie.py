@@ -13,30 +13,89 @@ from __future__ import annotations
 import numpy as np
 
 
+def _sq_dists(cols: np.ndarray, p: np.ndarray, lo: int = 0, d: int | None = None):
+    """Squared distances from the points stored column by column in `cols` (d x m)
+    to the point `p`, over the coordinates lo..lo+d-1.
+
+    The d squared differences of a point are added in the order numpy's
+    pairwise `add.reduce` adds a row of length d: one by one below 8 terms,
+    8 partial sums combined as a tree and then the tail up to 128, halves
+    beyond. So `np.sqrt` of the result equals `np.linalg.norm(x - p, axis=1)`
+    bit for bit, at a few whole-column operations per coordinate.
+    """
+    if d is None:
+        d = cols.shape[0]
+
+    def sq(k):
+        t = cols[k] - p[k]
+        return np.multiply(t, t, out=t)
+
+    if d < 8:
+        acc = sq(lo)
+        for k in range(lo + 1, lo + d):
+            acc += sq(k)
+        return acc
+    if d <= 128:
+        r = [sq(lo + k) for k in range(8)]
+        stop = d - d % 8
+        for i in range(8, stop, 8):
+            for k in range(8):
+                r[k] += sq(lo + i + k)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(lo + stop, lo + d):
+            acc += sq(k)
+        return acc
+    half = d // 2 - (d // 2) % 8
+    return _sq_dists(cols, p, lo, half) + _sq_dists(cols, p, lo + half, d - half)
+
+
 def _prim_mst(x: np.ndarray):
     """Minimum spanning tree of the complete Euclidean graph.
 
-    O(n^2) time, O(n) memory; returns (u, v, w) edge arrays.
+    Prim's algorithm from vertex 0, taking the lowest-index vertex among
+    equally near ones. Distances are computed only to the vertices not yet
+    in the tree; these are kept in index order, column by column, and
+    compacted once half of them have joined. O(n^2 d) time, O(n d) memory;
+    returns (u, v, w) edge arrays.
     """
     n = x.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_dist = np.linalg.norm(x - x[0], axis=1)
-    best_dist[0] = np.inf
-    best_from = np.zeros(n, dtype=np.intp)
     eu = np.empty(n - 1, dtype=np.intp)
     ev = np.empty(n - 1, dtype=np.intp)
     ew = np.empty(n - 1, dtype=float)
+    idx = np.arange(1, n)                    # vertices outside the tree, ascending
+    cols = x[1:].T.copy()                    # their coordinates, one row per axis
+    best_dist = np.sqrt(_sq_dists(cols, x[0]))
+    best_from = np.zeros(n - 1, dtype=np.intp)
+    live = np.ones(n - 1, dtype=bool)        # False once the stored vertex has joined
     for t in range(n - 1):
-        j = int(np.argmin(best_dist))
-        eu[t], ev[t], ew[t] = best_from[j], j, best_dist[j]
-        in_tree[j] = True
-        best_dist[j] = np.inf
-        d = np.linalg.norm(x - x[j], axis=1)
-        upd = ~in_tree & (d < best_dist)
-        best_dist[upd] = d[upd]
-        best_from[upd] = j
+        i = int(np.argmin(best_dist))
+        if not live[i]:
+            # every outside vertex is at distance inf (squares overflowed)
+            i = int(np.argmax(live))
+        j = int(idx[i])
+        eu[t], ev[t], ew[t] = best_from[i], j, best_dist[i]
+        # a NaN column never tests closer, so a joined vertex keeps distance inf
+        cols[:, i] = np.nan
+        best_dist[i] = np.inf
+        live[i] = False
+        if 2 * (n - 2 - t) <= idx.shape[0]:  # at most half still outside: compact
+            cols, idx = np.ascontiguousarray(cols[:, live]), idx[live]
+            best_dist, best_from = best_dist[live], best_from[live]
+            live = np.ones(idx.shape[0], dtype=bool)
+        d = np.sqrt(_sq_dists(cols, x[j]))
+        np.copyto(best_from, j, where=d < best_dist)
+        np.fmin(best_dist, d, out=best_dist)
     return eu, ev, ew
+
+
+def _find(parent, i: int) -> int:
+    """Root of i in the union-find forest `parent`, compressing the path."""
+    root = i
+    while parent[root] != root:
+        root = parent[root]
+    while parent[i] != root:
+        parent[i], i = root, parent[i]
+    return root
 
 
 def _gini(sizes: np.ndarray) -> float:
@@ -68,36 +127,63 @@ class GenieHierarchy:
         n = self.n
         eu, ev, ew = _prim_mst(x)
         order = np.argsort(ew, kind="stable")
-        eu, ev = eu[order], ev[order]
+        eu, ev = eu[order].tolist(), ev[order].tolist()
 
-        label = np.arange(n)          # cluster id per point
-        size = np.ones(n, dtype=np.intp)
-        active = np.ones(n, dtype=bool)
-        alive = np.ones(n - 1, dtype=bool)
-        members: list[list[int]] = [[i] for i in range(n)]
+        # Clusters are subtrees of the MST, so an edge joins two clusters until
+        # it is merged itself: the candidates are exactly the unused edges.
+        parent = list(range(n))       # union-find forest over the points
+        size = [1] * n                # cluster size at each root
+        used = [False] * (n - 1)
+        count = {1: n}                # number of clusters of each size
+        s_min = 1                     # smallest cluster size
+        spread = 0                    # sum of |s_i - s_j| over cluster pairs i < j
+        first = 0                     # first unused edge
+        forced = 0                    # scan position for an edge touching size s_min
+        forced_size = 1               # the s_min that `forced` was scanned for
         merges: list[tuple[int, int]] = []
 
-        for _ in range(n - 1):
-            cu = label[eu]
-            cv = label[ev]
-            alive &= cu != cv
-            if _gini(size[active]) > self.gini_threshold:
-                s_min = size[active].min()
-                cand = alive & ((size[cu] == s_min) | (size[cv] == s_min))
+        for c in range(n, 1, -1):     # c clusters before this merge
+            while used[first]:
+                first += 1
+            # the Gini index of the sizes is spread / ((c - 1) * n), the same
+            # exact integers divided once as in _gini
+            if spread / ((c - 1) * n) > self.gini_threshold:
+                # sizes only grow, so an edge passed over stays ineligible while
+                # s_min holds; a new s_min may make earlier edges eligible
+                if forced_size != s_min:
+                    forced, forced_size = first, s_min
+                while used[forced] or (size[_find(parent, eu[forced])] != s_min
+                                       and size[_find(parent, ev[forced])] != s_min):
+                    forced += 1
+                e = forced
             else:
-                cand = alive
-            e = int(np.argmax(cand))  # edges are weight-sorted: first hit is cheapest
-            a, b = int(label[eu[e]]), int(label[ev[e]])
-            alive[e] = False
-            merges.append((int(eu[e]), int(ev[e])))
-            if len(members[a]) < len(members[b]):
+                e = first
+            used[e] = True
+            u, v = eu[e], ev[e]
+            merges.append((u, v))
+            a, b = _find(parent, u), _find(parent, v)
+            sa, sb = size[a], size[b]
+            s = sa + sb
+            # with F(z) = sum of |z - size| over the clusters before the merge,
+            # replacing sizes sa and sb by s changes spread by
+            # F(s) - F(sa) - F(sb) + |sa - sb| - s
+            fa = fb = fs = 0
+            for t, m in count.items():
+                fa += m * abs(sa - t)
+                fb += m * abs(sb - t)
+                fs += m * abs(s - t)
+            spread += fs - fa - fb + abs(sa - sb) - s
+            for t in (sa, sb):
+                count[t] -= 1
+                if not count[t]:
+                    del count[t]
+            count[s] = count.get(s, 0) + 1
+            while s_min not in count:
+                s_min += 1
+            if sa < sb:
                 a, b = b, a
-            for p in members[b]:
-                label[p] = a
-            members[a].extend(members[b])
-            members[b] = []
-            size[a] += size[b]
-            active[b] = False
+            parent[b] = a
+            size[a] = s
         return merges
 
     def labels_at(self, k: int) -> np.ndarray:
@@ -105,20 +191,12 @@ class GenieHierarchy:
         if not 1 <= k <= self.n:
             raise ValueError(f"k must be in [1, {self.n}], got {k}")
         parent = np.arange(self.n)
-
-        def find(i: int) -> int:
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
         for u, v in self.merges[: self.n - k]:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[rv] = ru
-        roots = np.fromiter((find(i) for i in range(self.n)), dtype=np.intp, count=self.n)
+        roots = np.fromiter((_find(parent, i) for i in range(self.n)), dtype=np.intp,
+                            count=self.n)
         _, labels = np.unique(roots, return_inverse=True)
         # relabel in first-occurrence order for determinism
         first = np.full(labels.max() + 1, -1, dtype=np.intp)

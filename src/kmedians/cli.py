@@ -100,6 +100,10 @@ def load_csv(path: str):
         too_big = np.abs(table[:, label_col]) >= 2.0**63
         if too_big.any():
             raise ValueError(f"{path}: row {int(np.argmax(too_big)) + 2}: label out of range")
+        fractional = np.trunc(table[:, label_col]) != table[:, label_col]
+        if fractional.any():
+            raise ValueError(f"{path}: row {int(np.argmax(fractional)) + 2}: "
+                             "label must be an integer")
     # column selection yields a column-major copy; keep points row-major so that
     # reductions over them sum in the same order as for a parsed row list
     return (np.ascontiguousarray(table[:, coord_cols]),
@@ -176,6 +180,12 @@ def _dataset_from_args(args):
     if args.input and args.scenario:
         raise ConfigError("--input and --scenario are mutually exclusive")
     if args.input:
+        scenario_only = [flag for flag, given in (
+            ("--rho", args.rho != 0.0), ("--law", args.law != "t1"),
+            ("--points-per-cluster", args.points_per_cluster is not None)) if given]
+        if scenario_only:
+            raise ConfigError(f"{', '.join(scenario_only)} given with --input; "
+                              "these flags only shape --scenario data")
         return (*load_csv(args.input), None)
     if not args.scenario:
         raise ConfigError("one of --input or --scenario is required")
@@ -603,8 +613,11 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: --config: {e}", file=sys.stderr)
             return 3
+        cfg = doc.get("config", doc) if isinstance(doc, dict) else None
+        if not isinstance(cfg, dict):
+            print("error: --config: document must be a JSON object", file=sys.stderr)
+            return 3
         rest = argv[:i] + argv[i + 2:]
-        cfg = doc.get("config", doc)
         command = doc.get("command") or cfg.get("command")
         if rest and not rest[0].startswith("-"):
             command = rest.pop(0)

@@ -104,10 +104,23 @@ def test_malformed_row_reports_line(tmp_path, capsys):
                              ("nan,1.0,0", "non-finite field"),
                              ("3.0,-inf,0", "non-finite field"),
                              ("3.0,4.0,inf", "non-finite field"),
-                             ("3.0,4.0,1e20", "label out of range")):
+                             ("3.0,4.0,1e20", "label out of range"),
+                             ("3.0,4.0,1.5", "label must be an integer")):
         data.write_text(f"x0,x1,label\n1.0,2.0,0\n{bad_row}\n5.0,6.0,1\n")
         assert run_cli("cluster", "--input", data, "--k", 1, "--out", tmp_path / "o") == 3
         assert f"row 3: {problem}" in capsys.readouterr().err
+
+
+def test_scenario_flags_rejected_with_input(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    for flags in (("--rho", 0.3), ("--law", "uniform"), ("--points-per-cluster", 10)):
+        out = tmp_path / "o"
+        assert run_cli("cluster", "--input", data, "--k", 2, *flags, "--out", out) == 2
+        assert f"{flags[0]} given with --input" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+    assert run_cli("evaluate", "--input", data, "--labels", data, "--rho", 0.1,
+                   "--out", tmp_path / "e") == 2
 
 
 def test_header_required(tmp_path):
@@ -379,3 +392,22 @@ def test_config_replays_under_another_subcommand(tmp_path):
     assert report["config"]["k"] == 2 and report["config"]["input"] == str(data)
     assert not {"gap_b", "k_max", "method", "min_window",
                 "silhouette_metric"} & set(report["config"])
+
+
+def test_config_replay_of_input_report(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    assert run_cli("cluster", "--input", data, "--k", 2, "--out", tmp_path / "a") == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert (report["config"]["rho"], report["config"]["law"]) == (0.0, "t1")
+    assert run_cli("--config", tmp_path / "a" / "report.json", "--out", tmp_path / "b") == 0
+    assert (tmp_path / "a" / "labels.csv").read_bytes() == \
+        (tmp_path / "b" / "labels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc", ["[]", "3", '"select"', '{"config": [1]}'])
+def test_config_document_must_be_an_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(doc)
+    assert run_cli("--config", cfg) == 3
+    assert "error: --config: document must be a JSON object" in capsys.readouterr().err

@@ -17,7 +17,8 @@ from kmedians import (
     run_clustering,
     weiszfeld_median,
 )
-from kmedians._genie import GenieHierarchy, _gini
+from kmedians._genie import GenieHierarchy, _gini, _sq_dists
+from kmedians.simulation import ContaminationSpec, contaminate, make_scenario
 
 
 def two_blobs(rng, n_per=100, centers=((-10.0, 0.0), (10.0, 0.0)), scale=1.0):
@@ -119,6 +120,126 @@ def test_genie_hierarchy_levels():
     lab2 = tree.labels_at(2)
     assert adjusted_rand_index(lab2, truth) == 1.0
     assert np.all(tree.labels_at(1) == 0)
+
+
+# Reference Genie construction: the dense Prim loop and the O(n)-per-merge
+# relabelling loop that the fast construction in kmedians._genie must match.
+
+
+def _reference_prim_mst(x: np.ndarray):
+    n = x.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_dist = np.linalg.norm(x - x[0], axis=1)
+    best_dist[0] = np.inf
+    best_from = np.zeros(n, dtype=np.intp)
+    eu = np.empty(n - 1, dtype=np.intp)
+    ev = np.empty(n - 1, dtype=np.intp)
+    ew = np.empty(n - 1, dtype=float)
+    for t in range(n - 1):
+        j = int(np.argmin(best_dist))
+        eu[t], ev[t], ew[t] = best_from[j], j, best_dist[j]
+        in_tree[j] = True
+        best_dist[j] = np.inf
+        d = np.linalg.norm(x - x[j], axis=1)
+        upd = ~in_tree & (d < best_dist)
+        best_dist[upd] = d[upd]
+        best_from[upd] = j
+    return eu, ev, ew
+
+
+def _reference_merge_order(x: np.ndarray, gini_threshold: float):
+    n = x.shape[0]
+    if n <= 1:
+        return []
+    eu, ev, ew = _reference_prim_mst(x)
+    order = np.argsort(ew, kind="stable")
+    eu, ev = eu[order], ev[order]
+
+    label = np.arange(n)          # cluster id per point
+    size = np.ones(n, dtype=np.intp)
+    active = np.ones(n, dtype=bool)
+    alive = np.ones(n - 1, dtype=bool)
+    members: list[list[int]] = [[i] for i in range(n)]
+    merges: list[tuple[int, int]] = []
+
+    for _ in range(n - 1):
+        cu = label[eu]
+        cv = label[ev]
+        alive &= cu != cv
+        if _gini(size[active]) > gini_threshold:
+            s_min = size[active].min()
+            cand = alive & ((size[cu] == s_min) | (size[cv] == s_min))
+        else:
+            cand = alive
+        e = int(np.argmax(cand))  # edges are weight-sorted: first hit is cheapest
+        a, b = int(label[eu[e]]), int(label[ev[e]])
+        alive[e] = False
+        merges.append((int(eu[e]), int(ev[e])))
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for p in members[b]:
+            label[p] = a
+        members[a].extend(members[b])
+        members[b] = []
+        size[a] += size[b]
+        active[b] = False
+    return merges
+
+
+def _oracle_datasets():
+    rng = np.random.default_rng(11)
+    s2 = make_scenario("s2", seed=4)
+    grid = rng.integers(0, 5, size=(400, 2)).astype(float)
+    s3 = make_scenario("s3", seed=2).points
+    yield "s1", make_scenario("s1", seed=3).points
+    yield "s2", s2.points
+    yield "s3", s3
+    yield "s2+t1", contaminate(s2, ContaminationSpec(rho=0.2, law="student", df=1),
+                               seed=5).points
+    yield "grid duplicates", grid
+    yield "repeated rows", np.vstack([s3[:300], s3[:100], s3[50:150]])
+    for n in (1, 2, 3):
+        yield f"n={n}", rng.normal(size=(n, 3))
+        yield f"n={n} coincident", np.ones((n, 2))
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in _oracle_datasets()])
+def test_genie_merges_match_reference(x):
+    before = x.copy()
+    for g in (0.1, 0.3, 0.5, 1.0):
+        assert GenieHierarchy(x, g).merges == _reference_merge_order(x, g), g
+    assert np.array_equal(x, before)
+
+
+def test_genie_merges_match_reference_on_small_draws():
+    # with few points the Gini index often equals 0.5 exactly, which tests
+    # the strict comparison with the threshold
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = rng.normal(size=(int(rng.integers(4, 13)), 2))
+        for g in (0.1, 0.3, 0.5, 1.0):
+            assert GenieHierarchy(x, g).merges == _reference_merge_order(x, g)
+
+
+@pytest.mark.parametrize("d", list(range(1, 21)) + [129, 200])
+def test_sq_dists_equal_numpy_norm_bitwise(d):
+    rng = np.random.default_rng(d)
+    for m in (1, 3, 1000):
+        x = rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, d))
+        for j in {0, m // 2, m - 1}:
+            got = np.sqrt(_sq_dists(x.T.copy(), x[j]))
+            assert np.array_equal(got, np.linalg.norm(x - x[j], axis=1)), (m, j)
+
+
+def test_genie_spans_when_squared_distances_overflow():
+    # at this scale every squared distance is inf; the tree must still span
+    rng = np.random.default_rng(1)
+    pts = np.vstack([rng.normal(size=(10, 2)) - 5, rng.normal(size=(10, 2)) + 5]) * 1e200
+    with np.errstate(over="ignore"):
+        tree = GenieHierarchy(pts)
+    for k in (1, 2, 5, 20):
+        assert len(np.unique(tree.labels_at(k))) == k
 
 
 # ---------------------------------------------------------------------------
