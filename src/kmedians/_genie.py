@@ -12,41 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _sq_dists(cols: np.ndarray, p: np.ndarray, lo: int = 0, d: int | None = None):
-    """Squared distances from the points stored column by column in `cols` (d x m)
-    to the point `p`, over the coordinates lo..lo+d-1.
-
-    The d squared differences of a point are added in the order numpy's
-    pairwise `add.reduce` adds a row of length d: one by one below 8 terms,
-    8 partial sums combined as a tree and then the tail up to 128, halves
-    beyond. So `np.sqrt` of the result equals `np.linalg.norm(x - p, axis=1)`
-    bit for bit, at a few whole-column operations per coordinate.
-    """
-    if d is None:
-        d = cols.shape[0]
-
-    def sq(k):
-        t = cols[k] - p[k]
-        return np.multiply(t, t, out=t)
-
-    if d < 8:
-        acc = sq(lo)
-        for k in range(lo + 1, lo + d):
-            acc += sq(k)
-        return acc
-    if d <= 128:
-        r = [sq(lo + k) for k in range(8)]
-        stop = d - d % 8
-        for i in range(8, stop, 8):
-            for k in range(8):
-                r[k] += sq(lo + i + k)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(lo + stop, lo + d):
-            acc += sq(k)
-        return acc
-    half = d // 2 - (d // 2) % 8
-    return _sq_dists(cols, p, lo, half) + _sq_dists(cols, p, lo + half, d - half)
+from ._utils import _sq_dists
 
 
 def _prim_mst(x: np.ndarray):
@@ -121,6 +87,10 @@ class GenieHierarchy:
         x = np.asarray(points, dtype=float)
         self.n = x.shape[0]
         self.gini_threshold = gini_threshold
+        # the union-by-size forest of the merges: the root each cluster root
+        # was linked under, and at which merge (n: never)
+        self._up = np.arange(self.n)
+        self._up_at = np.full(self.n, self.n)
         self.merges = self._merge_order(x) if self.n > 1 else []
 
     def _merge_order(self, x: np.ndarray):
@@ -184,30 +154,25 @@ class GenieHierarchy:
                 a, b = b, a
             parent[b] = a
             size[a] = s
+            self._up[b], self._up_at[b] = a, len(merges) - 1
         return merges
 
     def labels_at(self, k: int) -> np.ndarray:
         """Partition into k clusters, labeled 0..k-1 in first-occurrence order."""
         if not 1 <= k <= self.n:
             raise ValueError(f"k must be in [1, {self.n}], got {k}")
-        parent = np.arange(self.n)
-        for u, v in self.merges[: self.n - k]:
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[rv] = ru
-        roots = np.fromiter((_find(parent, i) for i in range(self.n)), dtype=np.intp,
-                            count=self.n)
-        _, labels = np.unique(roots, return_inverse=True)
-        # relabel in first-occurrence order for determinism
-        first = np.full(labels.max() + 1, -1, dtype=np.intp)
-        nxt = 0
-        out = np.empty(self.n, dtype=np.intp)
-        for i, lab in enumerate(labels):
-            if first[lab] < 0:
-                first[lab] = nxt
-                nxt += 1
-            out[i] = first[lab]
-        return out
+        # climb the links made by the first n - k merges; union by size keeps
+        # the forest O(log n) deep, so a few whole-array steps reach every root
+        root = np.arange(self.n)
+        while True:
+            climb = self._up_at[root] < self.n - k
+            if not climb.any():
+                break
+            root[climb] = self._up[root[climb]]
+        _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.shape[0])
+        return rank[inverse]
 
     def centers_at(self, points: np.ndarray, k: int) -> np.ndarray:
         """Coordinate-wise median of each cluster of the k-partition."""

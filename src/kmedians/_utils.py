@@ -33,13 +33,57 @@ def as_codebook(centers, d: int | None = None) -> np.ndarray:
     return c
 
 
+def _sq_dists(cols: np.ndarray, p, lo: int = 0, d: int | None = None):
+    """Squared distances from the points stored column by column in `cols` (d x m)
+    to `p`, over the coordinates lo..lo+d-1.
+
+    `p[k]`, coordinate k of the reference, is a scalar, or an array of length
+    m that gives every point its own reference. The d squared differences
+    of a point are added in the order numpy's pairwise `add.reduce` adds a
+    row of length d: one by one below 8 terms, 8 partial sums combined as a
+    tree and then the tail up to 128, halves beyond. So `np.sqrt` of the
+    result equals `np.linalg.norm(x - p, axis=1)` bit for bit, at a few
+    whole-column operations per coordinate.
+    """
+    if d is None:
+        d = cols.shape[0]
+
+    def sq(k):
+        t = cols[k] - p[k]
+        return np.multiply(t, t, out=t)
+
+    if d < 8:
+        acc = sq(lo)
+        for k in range(lo + 1, lo + d):
+            acc += sq(k)
+        return acc
+    if d <= 128:
+        r = [sq(lo + k) for k in range(8)]
+        stop = d - d % 8
+        for i in range(8, stop, 8):
+            for k in range(8):
+                r[k] += sq(lo + i + k)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(lo + stop, lo + d):
+            acc += sq(k)
+        return acc
+    half = d // 2 - (d // 2) % 8
+    return _sq_dists(cols, p, lo, half) + _sq_dists(cols, p, lo + half, d - half)
+
+
 def pairwise_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of x (n, d) and rows of c (k, d).
 
-    Computed from explicit differences so that coincident rows give an
-    exact 0.0 (the dot-product shortcut does not).
+    Filled one center at a time from explicit differences, so coincident
+    rows give an exact 0.0 (the dot-product shortcut does not) and column j
+    equals `np.linalg.norm(x - c[j], axis=1)` bit for bit. Needs O(n k)
+    memory beyond a transposed copy of x.
     """
-    return np.linalg.norm(x[:, None, :] - c[None, :, :], axis=2)
+    cols = np.ascontiguousarray(x.T)
+    out = np.empty((x.shape[0], c.shape[0]))
+    for j in range(c.shape[0]):
+        np.sqrt(_sq_dists(cols, c[j]), out=out[:, j])
+    return out
 
 
 def coordinate_median(x: np.ndarray) -> np.ndarray:

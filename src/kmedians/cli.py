@@ -93,22 +93,32 @@ def load_csv(path: str):
         if not rows:
             raise ValueError(f"{path}: no data rows")
     table = np.array(rows)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite field")
-    if label_col is not None:
-        too_big = np.abs(table[:, label_col]) >= 2.0**63
-        if too_big.any():
-            raise ValueError(f"{path}: row {int(np.argmax(too_big)) + 2}: label out of range")
-        fractional = np.trunc(table[:, label_col]) != table[:, label_col]
-        if fractional.any():
-            raise ValueError(f"{path}: row {int(np.argmax(fractional)) + 2}: "
-                             "label must be an integer")
+    _check_finite(table, path)
     # column selection yields a column-major copy; keep points row-major so that
     # reductions over them sum in the same order as for a parsed row list
     return (np.ascontiguousarray(table[:, coord_cols]),
-            table[:, label_col].astype(int) if label_col is not None else None,
+            _integer_labels(table[:, label_col], path) if label_col is not None else None,
             table[:, mask_col] != 0.0 if mask_col is not None else None)
+
+
+def _check_finite(table: np.ndarray, path) -> None:
+    """Reject the first data row (the header is row 1) holding a nan or inf."""
+    finite = np.isfinite(table.reshape(table.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite field")
+
+
+def _integer_labels(column: np.ndarray, path) -> np.ndarray:
+    """A finite float label column as integers; a label beyond the int64 range
+    or with a fractional part is an error at its row."""
+    too_big = np.abs(column) >= 2.0**63
+    if too_big.any():
+        raise ValueError(f"{path}: row {int(np.argmax(too_big)) + 2}: label out of range")
+    fractional = np.trunc(column) != column
+    if fractional.any():
+        raise ValueError(f"{path}: row {int(np.argmax(fractional)) + 2}: "
+                         "label must be an integer")
+    return column.astype(int)
 
 
 def _is_number(s: str) -> bool:
@@ -132,12 +142,14 @@ def load_labels_csv(path: str) -> np.ndarray:
         out = []
         for rownum, row in enumerate(reader, start=2):
             try:
-                out.append(int(float(row[idx])))
+                out.append(float(row[idx]))
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: row {rownum}: bad label") from None
     if not out:
         raise ValueError(f"{path}: no data rows")
-    return np.array(out, dtype=int)
+    column = np.array(out)
+    _check_finite(column, path)
+    return _integer_labels(column, path)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -313,7 +325,6 @@ def _fit_and_report(args) -> int:
     """Fit at --k or, with --k unset, select k by --method; write labels.csv, a
     selection's curve/windows/projection CSVs, and report.json."""
     _check_algorithm(args.algorithm)
-    out = _prepare_out(args)
     points, true_labels, mask, truth_centers = _dataset_from_args(args)
     seed = derive_seed(args.seed, _RUN_STREAM)
     t0 = time.perf_counter()
@@ -330,6 +341,7 @@ def _fit_and_report(args) -> int:
         log.info("select: method=%s k_hat=%d in %.2fs", args.method, report_sel.k_hat,
                  time.perf_counter() - t0)
 
+    out = _prepare_out(args)
     outputs = {"labels": "labels.csv"}
     _write_csv(out / "labels.csv", ["label"], [[int(v)] for v in result.labels])
     if report_sel is not None:
@@ -380,9 +392,9 @@ def cmd_select(args) -> int:
 def cmd_simulate(args) -> int:
     if not args.scenario:
         raise ConfigError("simulate requires --scenario")
-    out = _prepare_out(args)
     data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                              args.rho, args.law)
+    out = _prepare_out(args)
     _write_csv(out / "dataset.csv",
                [f"x{i}" for i in range(data.points.shape[1])] + ["label", "contaminated"],
                ([*row, int(lab), int(con)] for row, lab, con
@@ -461,7 +473,6 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --labels")
     if bool(args.true_centers) != bool(args.pred_centers):
         raise ConfigError("--true-centers and --pred-centers must be given together")
-    out = _prepare_out(args)
     points, true_labels, mask, _ = _dataset_from_args(args)
     if true_labels is None:
         raise ValueError(f"{args.input}: no label column to evaluate against")
@@ -474,6 +485,7 @@ def cmd_evaluate(args) -> int:
         pred_centers = load_csv(args.pred_centers)[0]
     block = _evaluation_block(pred, true_labels, mask, pred_centers, true_centers,
                               n=int(points.shape[0]))
+    out = _prepare_out(args)
     report = {"command": args.command, "config": _echo(args), "evaluation": block,
               "outputs": {}}
     write_report(out, report)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._genie import GenieHierarchy
 from ._utils import as_codebook, as_points, pairwise_distances, spawn_rng
-from .geomedian import AsgConfig, _asg_stream, weiszfeld_median
+from .geomedian import AsgConfig, _asg_stream, _weiszfeld_blocks, weiszfeld_median
 
 __all__ = [
     "ALGORITHMS",
@@ -159,17 +159,69 @@ def _repair_empty(x: np.ndarray, centers: np.ndarray, labels: np.ndarray):
     return centers, assign(x, centers)
 
 
+def _blocks(x, labels, k):
+    """Rows of x sorted stably by label, and bounds with cluster j in rows
+    bounds[j]:bounds[j+1], equal to x[labels == j] row for row."""
+    bounds = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    return x[np.argsort(labels, kind="stable")], bounds
+
+
+def _median_step(tol, max_iter):
+    """Offline M-step: the Weiszfeld median of every cluster from its center,
+    one batch over all clusters; a cluster whose iterate lands on one of its
+    points finishes in weiszfeld_median, which guards that case."""
+    def m_step(x, labels, centers):
+        xs, bounds = _blocks(x, labels, centers.shape[0])
+        out, handoffs = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
+        for j, start, steps_left in handoffs:
+            out[j] = weiszfeld_median(xs[bounds[j]:bounds[j + 1]], tol=tol,
+                                      max_iter=steps_left, start=start).point
+        return out
+    return m_step
+
+
+def _asg_step(cfg, rng):
+    """Semi-online M-step: cfg.passes averaged stochastic gradient passes over
+    each cluster in turn, warm-started at its center."""
+    def m_step(x, labels, centers):
+        xs, bounds = _blocks(x, labels, centers.shape[0])
+        out = centers.copy()
+        for j in np.flatnonzero(np.diff(bounds)):
+            members = xs[bounds[j]:bounds[j + 1]]
+            m = centers[j].copy()
+            m_bar = centers[j].copy()
+            count = 1
+            for _ in range(cfg.passes):
+                order = rng.permutation(members.shape[0])
+                m, m_bar, count = _asg_stream(members, order, m, m_bar, count,
+                                              cfg.c_gamma, cfg.alpha)
+            out[j] = m_bar
+        return out
+    return m_step
+
+
+def _mean_step(x, labels, centers):
+    """K-means M-step: the mean of every cluster."""
+    xs, bounds = _blocks(x, labels, centers.shape[0])
+    out = centers.copy()
+    for j in np.flatnonzero(np.diff(bounds)):
+        out[j] = xs[bounds[j]:bounds[j + 1]].mean(axis=0)
+    return out
+
+
 def _lloyd_once(x, centers, m_step, max_iter):
-    """Alternate assignment and M-step until the labels stop changing."""
+    """Alternate assignment and M-step until the labels stop changing.
+
+    m_step(x, labels, centers) returns the next codebook; a cluster without
+    points keeps its center.
+    """
     centers = centers.copy()
     centers, labels = _repair_empty(x, centers, assign(x, centers))
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        for j in range(centers.shape[0]):
-            mask = labels == j
-            if mask.any():
-                centers[j] = m_step(x[mask], centers[j])
+        centers = m_step(x, labels, centers)
         centers, new_labels = _repair_empty(x, centers, assign(x, centers))
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -224,20 +276,8 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     cfg = cfg or AsgConfig()
 
     def run_one(centers0, rng):
-        if backend == "weiszfeld":
-            def m_step(members, center):
-                return weiszfeld_median(members, tol=median_tol,
-                                        max_iter=median_max_iter, start=center).point
-        else:
-            def m_step(members, center):
-                m = center.copy()
-                m_bar = center.copy()
-                count = 1
-                for _ in range(cfg.passes):
-                    order = rng.permutation(members.shape[0])
-                    m, m_bar, count = _asg_stream(members, order, m, m_bar, count,
-                                                  cfg.c_gamma, cfg.alpha)
-                return m_bar
+        m_step = (_median_step(median_tol, median_max_iter) if backend == "weiszfeld"
+                  else _asg_step(cfg, rng))
         centers, labels, iterations = _lloyd_once(x, centers0, m_step, max_iter)
         return centers, labels, empirical_distortion(x, centers, "l1"), iterations
 
@@ -294,8 +334,7 @@ def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: in
     init = init or InitMethod()
 
     def run_one(centers0, rng):
-        centers, labels, iterations = _lloyd_once(
-            x, centers0, lambda members, center: members.mean(axis=0), max_iter)
+        centers, labels, iterations = _lloyd_once(x, centers0, _mean_step, max_iter)
         return centers, labels, empirical_distortion(x, centers, "squared_l2"), iterations
 
     centers, labels, distortion, iterations, used = _best_of_restarts(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._utils import as_points, coordinate_median
+from ._utils import _sq_dists, as_points, coordinate_median
 
 __all__ = ["MedianEstimate", "AsgConfig", "l1_objective", "weiszfeld_median", "asg_median"]
 
@@ -138,6 +138,75 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
             break
         m = m_new
     return MedianEstimate(point=m, iterations=it, converged=converged, objective=l1_objective(x, m))
+
+
+def _rowdot(v: np.ndarray) -> np.ndarray:
+    """v[i] @ v[i] for every row, by the dot product np.linalg.norm(v[i]) squares."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol: float,
+                      max_iter: int):
+    """Weiszfeld iteration on every block x[bounds[j]:bounds[j+1]] at once.
+
+    Block j starts at starts[j] and follows `weiszfeld_median` step for step,
+    bit for bit, but a step is a handful of whole-array passes over all the
+    blocks still iterating: distances row by row as np.linalg.norm adds them,
+    coordinate sums by np.bincount (sequential, as numpy sums along axis 0),
+    weight totals block by block (pairwise, as numpy sums a 1-D array; so are
+    the coordinate sums when d = 1, where the axis-0 sum runs down one
+    contiguous column). A block stops once converged or after max_iter steps;
+    an empty block keeps its start.
+
+    A block whose iterate lands on one of its points, where `_weiszfeld_step`
+    takes its guarded path, leaves the batch before that step. Returns
+    (points, handoffs); each hand-off (j, iterate, steps left) is finished by
+    `weiszfeld_median(block j, start=iterate, max_iter=steps left)`.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    m = np.array(starts, dtype=float)
+    k, d = m.shape
+    sizes = np.diff(bounds)
+    cols = np.ascontiguousarray(x.T)
+    block = np.repeat(np.arange(k), sizes)    # block of every row
+    active = np.flatnonzero(sizes > 0)
+    handoffs = []
+    step = 0
+    rows = None
+    while active.size and step < max_iter:
+        if rows is None:                      # the active blocks changed: gather their rows
+            live = np.zeros(k, dtype=bool)
+            live[active] = True
+            rows = np.flatnonzero(live[block])
+            xa, ba = cols[:, rows], block[rows]
+            bins = (ba + k * np.arange(d)[:, None]).ravel()   # (coordinate, block) of xa
+            hi = np.cumsum(sizes[active])
+            spans = list(zip((hi - sizes[active]).tolist(), hi.tolist()))
+        dist = np.sqrt(_sq_dists(xa, m.T[:, ba]))
+        hit = ~(dist > 0.0)
+        if hit.any():
+            left = np.unique(ba[hit])
+            handoffs += [(j, m[j].copy(), max_iter - step) for j in left.tolist()]
+            active = np.setdiff1d(active, left)
+            rows = None
+            continue
+        w = 1.0 / dist
+        wx = w * xa
+        wsum = np.array([np.add.reduce(w[a:b]) for a, b in spans])
+        if d == 1:
+            s = np.array([np.add.reduce(wx[0, a:b]) for a, b in spans])[:, None]
+        else:
+            s = np.bincount(bins, weights=wx.ravel(), minlength=k * d).reshape(d, k).T[active]
+        m_new = s / wsum[:, None]
+        cur = m[active]
+        done = np.sqrt(_rowdot(m_new - cur)) <= tol * (1.0 + np.sqrt(_rowdot(cur)))
+        m[active] = m_new
+        step += 1
+        if done.any():
+            active = active[~done]
+            rows = None
+    return m, handoffs
 
 
 def _asg_stream(x, order, m, m_bar, count, c_gamma, alpha):

@@ -109,6 +109,18 @@ def test_malformed_row_reports_line(tmp_path, capsys):
         data.write_text(f"x0,x1,label\n1.0,2.0,0\n{bad_row}\n5.0,6.0,1\n")
         assert run_cli("cluster", "--input", data, "--k", 1, "--out", tmp_path / "o") == 3
         assert f"row 3: {problem}" in capsys.readouterr().err
+    # the predicted labels of evaluate are read with the same checks
+    data.write_text("x0,label\n1.0,0\n2.0,1\n3.0,1\n")
+    pred = tmp_path / "pred.csv"
+    for bad_label, problem in (("oops", "bad label"),
+                               ("nan", "non-finite field"),
+                               ("-inf", "non-finite field"),
+                               ("1e20", "label out of range"),
+                               ("1.5", "label must be an integer")):
+        pred.write_text(f"label\n0\n{bad_label}\n1\n")
+        assert run_cli("evaluate", "--input", data, "--labels", pred,
+                       "--out", tmp_path / "e") == 3
+        assert f"{pred}: row 3: {problem}" in capsys.readouterr().err
 
 
 def test_scenario_flags_rejected_with_input(tmp_path, capsys):
@@ -121,6 +133,27 @@ def test_scenario_flags_rejected_with_input(tmp_path, capsys):
         assert not (out / "report.json").exists()
     assert run_cli("evaluate", "--input", data, "--labels", data, "--rho", 0.1,
                    "--out", tmp_path / "e") == 2
+
+
+def test_refused_runs_leave_no_output_directory(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1\n1.0,oops\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("label\n0\n")
+    for code, argv in (
+            (2, ("cluster", "--input", data, "--k", 2, "--rho", 0.2)),
+            (3, ("cluster", "--input", bad, "--k", 1)),
+            (3, ("cluster", "--input", data, "--k", 500)),
+            (2, ("select", "--scenario", "s2", "--k-max", 4, "--algorithm", "nope")),
+            (3, ("select", "--scenario", "s2", "--k-max", 4, "--rho", 0.7)),
+            (3, ("simulate", "--scenario", "s2", "--rho", -0.1)),
+            (2, ("evaluate", "--input", data, "--labels", pred, "--rho", 0.1)),
+            (3, ("evaluate", "--input", data, "--labels", pred))):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == code, argv
+        assert not out.exists(), argv
 
 
 def test_header_required(tmp_path):

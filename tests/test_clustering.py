@@ -17,8 +17,18 @@ from kmedians import (
     run_clustering,
     weiszfeld_median,
 )
-from kmedians._genie import GenieHierarchy, _gini, _sq_dists
-from kmedians.simulation import ContaminationSpec, contaminate, make_scenario
+from kmedians._genie import GenieHierarchy, _gini
+from kmedians._utils import _sq_dists, pairwise_distances
+from kmedians.clustering import _asg_step, _lloyd_once, _mean_step, _median_step, _repair_empty
+from kmedians.geomedian import _asg_stream
+from kmedians.simulation import (
+    ContaminationSpec,
+    MixtureSpec,
+    contaminate,
+    make_scenario,
+    sample_mixture,
+    sphere_centers,
+)
 
 
 def two_blobs(rng, n_per=100, centers=((-10.0, 0.0), (10.0, 0.0)), scale=1.0):
@@ -212,6 +222,29 @@ def test_genie_merges_match_reference(x):
     assert np.array_equal(x, before)
 
 
+def _reference_labels_at(merges, n, k):
+    """Replay the first n - k merges in a union-find, relabel by first occurrence."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    for u, v in merges[: n - k]:
+        parent[find(v)] = find(u)
+    first: dict[int, int] = {}
+    return np.array([first.setdefault(find(i), len(first)) for i in range(n)])
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in _oracle_datasets()])
+def test_genie_labels_match_reference(x):
+    n = x.shape[0]
+    for g in (0.1, 0.3, 1.0):
+        tree = GenieHierarchy(x, g)
+        for k in sorted({1, 2, 3, 5, 10, 20, n // 2, n - 1, n} & set(range(1, n + 1))):
+            assert np.array_equal(tree.labels_at(k), _reference_labels_at(tree.merges, n, k))
+
+
 def test_genie_merges_match_reference_on_small_draws():
     # with few points the Gini index often equals 0.5 exactly, which tests
     # the strict comparison with the threshold
@@ -232,6 +265,17 @@ def test_sq_dists_equal_numpy_norm_bitwise(d):
             assert np.array_equal(got, np.linalg.norm(x - x[j], axis=1)), (m, j)
 
 
+@pytest.mark.parametrize("d", list(range(1, 21)) + [129])
+def test_pairwise_distances_equal_broadcast_norm_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    x = rng.normal(size=(300, d)) * rng.choice([1e-3, 1.0, 1e3], size=(300, d))
+    c = np.vstack([x[[0, 150, 299]], rng.normal(size=(4, d))])   # three coincident rows
+    got = pairwise_distances(x, c)
+    assert np.array_equal(got, np.linalg.norm(x[:, None] - c[None], axis=2))
+    assert got[0, 0] == got[150, 1] == got[299, 2] == 0.0
+    assert got.flags.c_contiguous
+
+
 def test_genie_spans_when_squared_distances_overflow():
     # at this scale every squared distance is inf; the tree must still span
     rng = np.random.default_rng(1)
@@ -244,6 +288,104 @@ def test_genie_spans_when_squared_distances_overflow():
 
 # ---------------------------------------------------------------------------
 # lloyd_kmedians
+
+
+# Reference Lloyd loop: one M-step call per nonempty cluster, on x[labels == j],
+# which the whole-codebook M-steps of kmedians.clustering must match bit for bit.
+
+
+def _reference_lloyd(x, centers, m_step, max_iter):
+    centers = centers.copy()
+    centers, labels = _repair_empty(x, centers, assign(x, centers))
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        for j in range(centers.shape[0]):
+            mask = labels == j
+            if mask.any():
+                centers[j] = m_step(x[mask], centers[j])
+        centers, new_labels = _repair_empty(x, centers, assign(x, centers))
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centers, labels, iterations
+
+
+def _reference_asg_step(cfg, rng):
+    def m_step(members, center):
+        m = center.copy()
+        m_bar = center.copy()
+        count = 1
+        for _ in range(cfg.passes):
+            order = rng.permutation(members.shape[0])
+            m, m_bar, count = _asg_stream(members, order, m, m_bar, count,
+                                          cfg.c_gamma, cfg.alpha)
+        return m_bar
+    return m_step
+
+
+def _lloyd_cases():
+    """(name, points, initial centers)."""
+    rng = np.random.default_rng(21)
+    s2 = make_scenario("s2", seed=4).points
+    sphere = sample_mixture(MixtureSpec(sphere_centers(10, 10.0, 5, seed=1), 60), seed=2)
+    cases = [
+        ("s1", make_scenario("s1", seed=3).points, 6),
+        ("s2", s2, 4),
+        ("s3", make_scenario("s3", seed=2).points, 15),
+        ("sphere10+t1", contaminate(sphere, ContaminationSpec(rho=0.1, law="student", df=1),
+                                    seed=3).points, 10),
+        ("d=1", rng.standard_t(3, size=(400, 1)), 5),
+        ("grid duplicates", rng.integers(0, 5, size=(400, 2)).astype(float), 8),
+        ("k=1", s2, 1),
+        # three distinct points for five centers: two clusters stay empty
+        ("empty clusters", np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], 7, axis=0), 5),
+    ]
+    for name, x, k in cases:
+        yield name, x, init_centers(x, k)
+    # by symmetry the first step from (0, 0.5) lands exactly on the point (0, 0)
+    x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
+    yield "lands on a point", x, np.array([[0.0, 0.5], [100.3, 0.3]])
+
+
+def _assert_same_fit(got, ref):
+    assert got[0].tobytes() == ref[0].tobytes()    # bit for bit, signed zeros included
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("x,c0", [pytest.param(x, c, id=name) for name, x, c in _lloyd_cases()])
+def test_lloyd_once_matches_reference(x, c0):
+    for tol, cap in ((1e-6, 100), (1e-10, 3)):
+        def weiszfeld(members, center):
+            return weiszfeld_median(members, tol=tol, max_iter=cap, start=center).point
+        _assert_same_fit(_lloyd_once(x, c0, _median_step(tol, cap), 100),
+                         _reference_lloyd(x, c0, weiszfeld, 100))
+    _assert_same_fit(_lloyd_once(x, c0, _mean_step, 100),
+                     _reference_lloyd(x, c0, lambda members, center: members.mean(axis=0), 100))
+    cfg = AsgConfig(passes=2)
+    _assert_same_fit(_lloyd_once(x, c0, _asg_step(cfg, np.random.default_rng(7)), 3),
+                     _reference_lloyd(x, c0, _reference_asg_step(cfg, np.random.default_rng(7)), 3))
+
+
+def test_lloyd_cases_reach_the_edge_paths(monkeypatch):
+    import kmedians.clustering
+    cases = {name: (x, c0) for name, x, c0 in _lloyd_cases()}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["max_iter"])
+        return weiszfeld_median(*args, **kwargs)
+    monkeypatch.setattr(kmedians.clustering, "weiszfeld_median", counted)
+    # an iterate on a data point finishes in weiszfeld_median with the steps left
+    _lloyd_once(*cases["grid duplicates"], _median_step(1e-6, 100), 100)
+    assert 100 in calls
+    calls.clear()
+    _lloyd_once(*cases["lands on a point"], _median_step(1e-6, 100), 100)
+    assert calls[0] == 99
+    x, c0 = cases["empty clusters"]
+    assert len(np.unique(_lloyd_once(x, c0, _mean_step, 100)[1])) < c0.shape[0]
 
 
 def test_lloyd_each_point_own_cluster():
@@ -271,6 +413,8 @@ def test_lloyd_validation():
         lloyd_kmedians(pts, 4)
     with pytest.raises(ValueError):
         lloyd_kmedians(pts, 2, backend="sgd")
+    with pytest.raises(ValueError, match="tol"):
+        lloyd_kmedians(pts, 2, median_tol=0.0)
 
 
 def test_lloyd_descent_offline():
