@@ -64,16 +64,6 @@ def _find(parent, i: int) -> int:
     return root
 
 
-def _gini(sizes: np.ndarray) -> float:
-    """Gini index of a positive size vector (0 for equal sizes)."""
-    c = sizes.shape[0]
-    if c <= 1:
-        return 0.0
-    s = np.sort(sizes)
-    i = np.arange(1, c + 1)
-    return float(((2 * i - c - 1) * s).sum() / ((c - 1) * s.sum()))
-
-
 class GenieHierarchy:
     """Full merge sequence of the Gini-constrained single linkage.
 
@@ -115,8 +105,8 @@ class GenieHierarchy:
         for c in range(n, 1, -1):     # c clusters before this merge
             while used[first]:
                 first += 1
-            # the Gini index of the sizes is spread / ((c - 1) * n), the same
-            # exact integers divided once as in _gini
+            # the Gini index of the sizes is spread / ((c - 1) * n): exact
+            # integers, divided once
             if spread / ((c - 1) * n) > self.gini_threshold:
                 # sizes only grow, so an edge passed over stays ineligible while
                 # s_min holds; a new s_min may make earlier edges eligible

@@ -86,11 +86,6 @@ def pairwise_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def coordinate_median(x: np.ndarray) -> np.ndarray:
-    """Per-coordinate median of the rows of x."""
-    return np.median(x, axis=0)
-
-
 def spawn_rng(*keys: int) -> np.random.Generator:
     """Deterministic generator derived from an integer key path.
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._genie import GenieHierarchy
-from ._utils import as_codebook, as_points, pairwise_distances, spawn_rng
-from .geomedian import AsgConfig, _asg_stream, _weiszfeld_blocks, weiszfeld_median
+from ._utils import _sq_dists, as_codebook, as_points, pairwise_distances, spawn_rng
+from .geomedian import AsgConfig, _asg_stream, _asg_update, _weiszfeld_blocks, weiszfeld_median
 
 __all__ = [
     "ALGORITHMS",
@@ -84,29 +84,41 @@ class InitMethod:
             raise ValueError("provided init requires provided_centers")
 
 
+def _nearest(x: np.ndarray, codebook):
+    """(labels, dmin): the nearest center of every row of the validated points x,
+    ties to the lowest index, and the distance to it, from one kernel pass."""
+    dist = pairwise_distances(x, as_codebook(codebook, d=x.shape[1]))
+    labels = np.argmin(dist, axis=1)
+    return labels, dist[np.arange(x.shape[0]), labels]
+
+
+def _check_fit(k: int, n: int, **caps: int) -> None:
+    """Refuse a k outside 1..n and an iteration cap below 1."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    for name, cap in caps.items():
+        if cap < 1:
+            raise ValueError(f"{name} must be >= 1, got {cap}")
+
+
 def assign(points, codebook) -> np.ndarray:
     """Nearest-center index for every point (ties go to the lowest index)."""
-    x = as_points(points)
-    c = as_codebook(codebook, d=x.shape[1])
-    return np.argmin(pairwise_distances(x, c), axis=1)
+    return _nearest(as_points(points), codebook)[0]
 
 
 def empirical_distortion(points, codebook, norm: str = "l1") -> float:
     """Mean distance (l1) or mean squared distance (squared_l2) to the nearest center."""
-    x = as_points(points)
-    c = as_codebook(codebook, d=x.shape[1])
-    dmin = pairwise_distances(x, c).min(axis=1)
-    if norm == "l1":
-        return float(dmin.mean())
-    if norm == "squared_l2":
-        return float((dmin**2).mean())
-    raise ValueError(f"unknown norm {norm!r}; expected 'l1' or 'squared_l2'")
+    if norm not in ("l1", "squared_l2"):
+        raise ValueError(f"unknown norm {norm!r}; expected 'l1' or 'squared_l2'")
+    dmin = _nearest(as_points(points), codebook)[1]
+    return float(dmin.mean() if norm == "l1" else (dmin**2).mean())
 
 
 def _plus_plus_l1(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
+    cols = np.ascontiguousarray(x.T)
     chosen = [int(rng.integers(n))]
-    dmin = np.linalg.norm(x - x[chosen[0]], axis=1)
+    dmin = np.sqrt(_sq_dists(cols, x[chosen[0]]))
     for _ in range(1, k):
         total = dmin.sum()
         if total > 0:
@@ -117,7 +129,7 @@ def _plus_plus_l1(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
             pool = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(rng.choice(pool))
         chosen.append(idx)
-        dmin = np.minimum(dmin, np.linalg.norm(x - x[idx], axis=1))
+        dmin = np.minimum(dmin, np.sqrt(_sq_dists(cols, x[idx])))
     return x[chosen].copy()
 
 
@@ -135,28 +147,26 @@ def _init_codebook(x: np.ndarray, k: int, method: InitMethod, rng: np.random.Gen
 def init_centers(points, k: int, method: InitMethod | None = None, seed: int = 0) -> np.ndarray:
     """Initial codebook of k centers for the given strategy."""
     x = as_points(points)
-    if not 1 <= k <= x.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={x.shape[0]}")
+    _check_fit(k, x.shape[0])
     method = method or InitMethod()
     return _init_codebook(x, k, method, spawn_rng(seed, _INIT_STREAM))
 
 
-def _repair_empty(x: np.ndarray, centers: np.ndarray, labels: np.ndarray):
-    """Re-seed centers that received no points at the farthest-out point.
+def _assign_repaired(x: np.ndarray, centers: np.ndarray):
+    """`_nearest` of x for centers, after re-seeding (in place) every center that
+    receives no point at the farthest-out point; returns (centers, labels, dmin).
 
     Guarantees k live centers whenever the data has k distinct points.
-    Returns (centers, labels) with labels recomputed if anything moved.
     """
-    k = centers.shape[0]
-    counts = np.bincount(labels, minlength=k)
-    if (counts > 0).all():
-        return centers, labels
-    dmin = pairwise_distances(x, centers).min(axis=1)
-    for j in np.flatnonzero(counts == 0):
-        far = int(np.argmax(dmin))
-        centers[j] = x[far]
-        dmin = np.minimum(dmin, np.linalg.norm(x - centers[j], axis=1))
-    return centers, assign(x, centers)
+    labels, dmin = _nearest(x, centers)
+    empty = np.flatnonzero(np.bincount(labels, minlength=centers.shape[0]) == 0)
+    if not empty.size:
+        return centers, labels, dmin
+    cols = np.ascontiguousarray(x.T)
+    for j in empty:
+        centers[j] = x[int(np.argmax(dmin))]
+        dmin = np.minimum(dmin, np.sqrt(_sq_dists(cols, centers[j])))
+    return (centers, *_nearest(x, centers))
 
 
 def _blocks(x, labels, k):
@@ -214,20 +224,18 @@ def _lloyd_once(x, centers, m_step, max_iter):
     """Alternate assignment and M-step until the labels stop changing.
 
     m_step(x, labels, centers) returns the next codebook; a cluster without
-    points keeps its center.
+    points keeps its center. Returns (centers, labels, iterations, dmin),
+    dmin being every point's distance to its center.
     """
-    centers = centers.copy()
-    centers, labels = _repair_empty(x, centers, assign(x, centers))
+    centers, labels, dmin = _assign_repaired(x, centers.copy())
     iterations = 0
-    for _ in range(max_iter):
+    while iterations < max_iter:
         iterations += 1
-        centers = m_step(x, labels, centers)
-        centers, new_labels = _repair_empty(x, centers, assign(x, centers))
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        previous = labels
+        centers, labels, dmin = _assign_repaired(x, m_step(x, labels, centers))
+        if np.array_equal(labels, previous):
             break
-        labels = new_labels
-    return centers, labels, iterations
+    return centers, labels, iterations, dmin
 
 
 def _best_of_restarts(x, k, init, seed, n_start, run_one, stochastic_mstep):
@@ -268,8 +276,7 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     empirical L1 distortion is returned.
     """
     x = as_points(points)
-    if not 1 <= k <= x.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={x.shape[0]}")
+    _check_fit(k, x.shape[0], max_iter=max_iter, median_max_iter=median_max_iter)
     if backend not in ("weiszfeld", "asg"):
         raise ValueError(f"unknown backend {backend!r}; expected 'weiszfeld' or 'asg'")
     init = init or InitMethod()
@@ -278,8 +285,8 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     def run_one(centers0, rng):
         m_step = (_median_step(median_tol, median_max_iter) if backend == "weiszfeld"
                   else _asg_step(cfg, rng))
-        centers, labels, iterations = _lloyd_once(x, centers0, m_step, max_iter)
-        return centers, labels, empirical_distortion(x, centers, "l1"), iterations
+        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
+        return centers, labels, float(dmin.mean()), iterations
 
     centers, labels, distortion, iterations, used = _best_of_restarts(
         x, k, init, seed, n_start, run_one, stochastic_mstep=(backend == "asg"))
@@ -298,30 +305,24 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     one observation's weight in the averages. Costs O(k n d) arithmetic.
     """
     x = as_points(points)
-    n, d = x.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    n = x.shape[0]
+    _check_fit(k, n)
     cfg = cfg or AsgConfig()
     init = init or InitMethod()
 
     m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
     m_bar = m.copy()
-    counts = np.ones(k, dtype=np.intp)
+    counts = [1] * k
     # order stream aligned with asg_median so that k=1 reduces to it exactly
     order = np.random.default_rng(seed).permutation(n)
     for idx in order:
         xi = x[idx]
         r = int(np.argmin(np.linalg.norm(m_bar - xi, axis=1)))
-        diff = xi - m[r]
-        nrm = np.sqrt(diff @ diff)
-        if nrm > 0.0:
-            m[r] = m[r] + (cfg.c_gamma / (counts[r] + 1) ** cfg.alpha / nrm) * diff
-        m_bar[r] = m_bar[r] + (m[r] - m_bar[r]) / (counts[r] + 1)
+        m[r], m_bar[r] = _asg_update(xi, m[r], m_bar[r], counts[r], cfg.c_gamma, cfg.alpha)
         counts[r] += 1
 
-    labels = assign(x, m_bar)
-    return ClusteringResult(centers=m_bar, labels=labels,
-                            distortion=empirical_distortion(x, m_bar, "l1"),
+    labels, dmin = _nearest(x, m_bar)
+    return ClusteringResult(centers=m_bar, labels=labels, distortion=float(dmin.mean()),
                             iterations=n, restarts_used=1, algorithm="online")
 
 
@@ -329,13 +330,12 @@ def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: in
                     n_start: int = 5, seed: int = 0) -> ClusteringResult:
     """Lloyd K-means (arithmetic-mean M-step, squared-L2 distortion)."""
     x = as_points(points)
-    if not 1 <= k <= x.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={x.shape[0]}")
+    _check_fit(k, x.shape[0], max_iter=max_iter)
     init = init or InitMethod()
 
     def run_one(centers0, rng):
-        centers, labels, iterations = _lloyd_once(x, centers0, _mean_step, max_iter)
-        return centers, labels, empirical_distortion(x, centers, "squared_l2"), iterations
+        centers, labels, iterations, dmin = _lloyd_once(x, centers0, _mean_step, max_iter)
+        return centers, labels, float((dmin**2).mean()), iterations
 
     centers, labels, distortion, iterations, used = _best_of_restarts(
         x, k, init, seed, n_start, run_one, stochastic_mstep=False)

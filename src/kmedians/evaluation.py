@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._utils import as_codebook
+from ._utils import as_codebook, pairwise_distances
 
 __all__ = ["TrialSummary", "adjusted_rand_index", "centroid_l1_error", "summarize_trials"]
 
@@ -61,8 +61,7 @@ def centroid_l1_error(true_codebook, est_codebook) -> float:
     """Sum over estimated centers of the distance to the nearest true center."""
     true_c = as_codebook(true_codebook)
     est_c = as_codebook(est_codebook, d=true_c.shape[1])
-    d = np.linalg.norm(est_c[:, None, :] - true_c[None, :, :], axis=2)
-    return float(d.min(axis=1).sum())
+    return float(pairwise_distances(est_c, true_c).min(axis=1).sum())
 
 
 def summarize_trials(per_trial, k_true: int) -> TrialSummary:

@@ -8,11 +8,12 @@ Euclidean distance to the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._utils import _sq_dists, as_points, coordinate_median
+from ._utils import _sq_dists, as_points, pairwise_distances
 
 __all__ = ["MedianEstimate", "AsgConfig", "l1_objective", "weiszfeld_median", "asg_median"]
 
@@ -62,7 +63,7 @@ def l1_objective(points, u) -> float:
     u = np.asarray(u, dtype=float).ravel()
     if u.shape[0] != x.shape[1]:
         raise ValueError(f"query dimension {u.shape[0]} does not match data dimension {x.shape[1]}")
-    return float(np.linalg.norm(x - u, axis=1).mean())
+    return float(pairwise_distances(x, u[None, :])[:, 0].mean())
 
 
 def _weiszfeld_step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -95,7 +96,7 @@ def _default_start(x: np.ndarray, tol: float = 0.0) -> np.ndarray:
     point) would read as converged while the iterate may still be
     escaping a non-optimal data point.
     """
-    start = coordinate_median(x)
+    start = np.median(x, axis=0)
     diag = float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
     if diag == 0.0:
         return start
@@ -209,21 +210,25 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     return m, handoffs
 
 
-def _asg_stream(x, order, m, m_bar, count, c_gamma, alpha):
-    """Run averaged Robbins-Monro updates over one pass of indices.
+def _asg_update(xi, m, m_bar, count, c_gamma, alpha):
+    """One averaged Robbins-Monro update by the point xi; returns (m, m_bar).
 
-    `count` plays the role of the per-center counter in the online
-    clustering algorithm: the update uses step c_gamma / (count + 1)**alpha
-    and folds the fresh iterate into the running average with weight
-    1 / (count + 1). Zero-distance points contribute no gradient step but
-    still advance the average and the counter.
+    The step is c_gamma / (count + 1)**alpha, and the new iterate enters the
+    average with weight 1 / (count + 1); a point on the iterate gives no step.
+    `count` is a Python int: numpy's integer power can differ in the last bit.
     """
+    diff = xi - m
+    nrm = math.sqrt(diff @ diff)   # a Python float keeps the scalar arithmetic cheap
+    if nrm > 0.0:
+        m = m + (c_gamma / (count + 1) ** alpha / nrm) * diff
+    return m, m_bar + (m - m_bar) / (count + 1)
+
+
+def _asg_stream(x, order, m, m_bar, count, c_gamma, alpha):
+    """`_asg_update` over one pass of indices, advancing `count` (the online
+    algorithm's per-center counter) once per index; returns (m, m_bar, count)."""
     for idx in order:
-        diff = x[idx] - m
-        nrm = np.sqrt(diff @ diff)
-        if nrm > 0.0:
-            m = m + (c_gamma / (count + 1) ** alpha / nrm) * diff
-        m_bar = m_bar + (m - m_bar) / (count + 1)
+        m, m_bar = _asg_update(x[idx], m, m_bar, count, c_gamma, alpha)
         count += 1
     return m, m_bar, count
 

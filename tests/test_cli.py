@@ -146,6 +146,7 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (2, ("cluster", "--input", data, "--k", 2, "--rho", 0.2)),
             (3, ("cluster", "--input", bad, "--k", 1)),
             (3, ("cluster", "--input", data, "--k", 500)),
+            (3, ("cluster", "--input", data, "--k", 2, "--max-iter", 0)),
             (2, ("select", "--scenario", "s2", "--k-max", 4, "--algorithm", "nope")),
             (3, ("select", "--scenario", "s2", "--k-max", 4, "--rho", 0.7)),
             (3, ("simulate", "--scenario", "s2", "--rho", -0.1)),
