@@ -311,6 +311,15 @@ def _echo(args) -> dict:
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _require_scenario(args) -> None:
+    """Refuse a scenario-only command given --input, or given no --scenario."""
+    if args.input:
+        raise ConfigError(f"{args.command} draws its data from --scenario; "
+                          "--input is not read")
+    if not args.scenario:
+        raise ConfigError(f"{args.command} requires --scenario")
+
+
 def _prepare_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -390,8 +399,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.scenario:
-        raise ConfigError("simulate requires --scenario")
+    _require_scenario(args)
     data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                              args.rho, args.law)
     out = _prepare_out(args)
@@ -411,8 +419,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not args.scenario:
-        raise ConfigError("bench requires --scenario")
+    _require_scenario(args)
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
@@ -426,8 +433,8 @@ def cmd_bench(args) -> int:
     rhos = [float(r) for r in str(args.rho).split(",")] if args.rho else [0.0]
     for rho in rhos:
         _contamination(rho, args.law)
+    params = _algo_params(args)
 
-    out = _prepare_out(args)
     rows = []
     for algorithm in algorithms:
         for rho in rhos:
@@ -440,8 +447,7 @@ def cmd_bench(args) -> int:
                 report_sel, result, _ = run_selection(
                     data.points, args.method, k_max, algorithm,
                     seed=derive_seed(args.seed, 63, t), min_window=args.min_window,
-                    gap_b=args.gap_b, silhouette_metric=args.silhouette_metric,
-                    **_algo_params(args))
+                    gap_b=args.gap_b, silhouette_metric=args.silhouette_metric, **params)
                 keep = ~data.contaminated
                 ari = adjusted_rand_index(data.true_labels[keep], result.labels[keep])
                 err = centroid_l1_error(truth_centers, result.centers)
@@ -453,6 +459,7 @@ def cmd_bench(args) -> int:
             rows.append([args.scenario, args.method, algorithm, args.law, rho,
                          s.trials, s.n_correct, s.k_bar, s.ari_mean, s.l1_error_median])
 
+    out = _prepare_out(args)
     _write_csv(out / "summary.csv",
                ["scenario", "method", "algorithm", "law", "rho", "trials",
                 "n_correct", "k_bar", "ari_mean", "l1_error_median"], rows)

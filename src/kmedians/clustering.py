@@ -92,13 +92,18 @@ def _nearest(x: np.ndarray, codebook):
     return labels, dist[np.arange(x.shape[0]), labels]
 
 
-def _check_fit(k: int, n: int, **caps: int) -> None:
-    """Refuse a k outside 1..n and an iteration cap below 1."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+def _check_caps(**caps: int) -> None:
+    """Refuse an iteration or restart cap below 1."""
     for name, cap in caps.items():
         if cap < 1:
             raise ValueError(f"{name} must be >= 1, got {cap}")
+
+
+def _check_fit(k: int, n: int, **caps: int) -> None:
+    """Refuse a k outside 1..n and a cap below 1."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    _check_caps(**caps)
 
 
 def assign(points, codebook) -> np.ndarray:
@@ -246,7 +251,7 @@ def _best_of_restarts(x, k, init, seed, n_start, run_one, stochastic_mstep):
     the first one, so a single run is performed.
     """
     deterministic = init.kind != "plus_plus_l1" and not stochastic_mstep
-    n_start = 1 if deterministic else max(1, n_start)
+    n_start = 1 if deterministic else n_start
     fixed_init = None
     if init.kind != "plus_plus_l1":
         fixed_init = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
@@ -276,7 +281,8 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     empirical L1 distortion is returned.
     """
     x = as_points(points)
-    _check_fit(k, x.shape[0], max_iter=max_iter, median_max_iter=median_max_iter)
+    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start,
+               median_max_iter=median_max_iter)
     if backend not in ("weiszfeld", "asg"):
         raise ValueError(f"unknown backend {backend!r}; expected 'weiszfeld' or 'asg'")
     init = init or InitMethod()
@@ -330,7 +336,7 @@ def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: in
                     n_start: int = 5, seed: int = 0) -> ClusteringResult:
     """Lloyd K-means (arithmetic-mean M-step, squared-L2 distortion)."""
     x = as_points(points)
-    _check_fit(k, x.shape[0], max_iter=max_iter)
+    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start)
     init = init or InitMethod()
 
     def run_one(centers0, rng):
@@ -347,12 +353,16 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
                    init: InitMethod | None = None, cfg: AsgConfig | None = None,
                    max_iter: int = 100, n_start: int | None = None,
                    median_tol: float = 1e-6, median_max_iter: int = 100) -> ClusteringResult:
-    """Dispatch to one of the four algorithms with shared defaults."""
+    """Dispatch to one of the four algorithms with shared defaults, checking
+    every parameter, also those the chosen algorithm does not read."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    n_start = 5 if n_start is None else n_start
+    _check_caps(max_iter=max_iter, n_start=n_start, median_max_iter=median_max_iter)
+    if not median_tol > 0:
+        raise ValueError(f"median_tol must be positive, got {median_tol}")
     if algorithm == "online":
         return online_kmedians(points, k, cfg=cfg, init=init, seed=seed)
-    n_start = 5 if n_start is None else n_start
     if algorithm == "kmeans":
         return kmeans_baseline(points, k, init=init, max_iter=max_iter,
                                n_start=n_start, seed=seed)

@@ -21,12 +21,7 @@ from scipy.spatial.distance import cdist
 
 from ._genie import GenieHierarchy
 from ._utils import as_points, spawn_rng
-from .clustering import (
-    ClusteringResult,
-    InitMethod,
-    empirical_distortion,
-    run_clustering,
-)
+from .clustering import ClusteringResult, InitMethod, run_clustering
 
 __all__ = [
     "DistortionCurve",
@@ -98,9 +93,16 @@ def penalty_shape(k: int, n: int) -> float:
     return math.sqrt(k / n)
 
 
-def _results_over_ks(points, ks, algorithm, seed_key, *, init=None, **params):
-    """Fit the algorithm at every k, building the hierarchy init only once."""
-    x = as_points(points)
+def _candidate_ks(k_min: int, k_max: int, n: int) -> np.ndarray:
+    """k_min..k_max, refusing a k_max outside k_min..n before anything is fitted."""
+    if not k_min <= k_max <= n:
+        raise ValueError(f"k_max must satisfy {k_min} <= k_max <= n, got k_max={k_max}, n={n}")
+    return np.arange(k_min, k_max + 1)
+
+
+def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
+    """Fit the algorithm to the validated points x at every k in ks, building
+    the hierarchy init only once; fit k runs on the stream seed_key + (k,)."""
     init = init or InitMethod()
     tree = None
     if init.kind == "robust_hierarchical":
@@ -113,7 +115,8 @@ def _results_over_ks(points, ks, algorithm, seed_key, *, init=None, **params):
         run_seed = spawn_rng(*seed_key, k).integers(2**63)
         results.append(run_clustering(x, int(k), algorithm, seed=int(run_seed),
                                       init=init_k, **params))
-    return results
+    return DistortionCurve(n=x.shape[0], ks=ks, distortions=[r.distortion for r in results],
+                           results=results)
 
 
 def distortion_curve(points, k_max: int, algorithm: str = "offline", seed: int = 0, *,
@@ -121,15 +124,10 @@ def distortion_curve(points, k_max: int, algorithm: str = "offline", seed: int =
                      **params) -> DistortionCurve:
     """Fit the chosen algorithm for k = k_min..k_max and record the distortions."""
     x = as_points(points)
-    if not 1 <= k_max <= x.shape[0]:
-        raise ValueError(f"k_max must satisfy 1 <= k_max <= n, got {k_max}")
+    ks = _candidate_ks(1, k_max, x.shape[0])
     if not 1 <= k_min <= k_max:
         raise ValueError(f"k_min must satisfy 1 <= k_min <= k_max, got {k_min}")
-    ks = np.arange(k_min, k_max + 1)
-    results = _results_over_ks(x, ks, algorithm, (seed, _CURVE_STREAM), init=init, **params)
-    return DistortionCurve(n=x.shape[0], ks=ks,
-                           distortions=np.array([r.distortion for r in results]),
-                           results=results)
+    return _sweep(x, ks[k_min - 1:], algorithm, (seed, _CURVE_STREAM), init, params)
 
 
 def _ols_slope(xv: np.ndarray, yv: np.ndarray) -> float:
@@ -188,23 +186,19 @@ def slope_select(curve: DistortionCurve, min_window: int | None = None) -> Selec
 def _gap(points, k_max, B, algorithm, seed, *, init=None, **params):
     x = as_points(points)
     n, d = x.shape
-    if not 1 <= k_max <= n:
-        raise ValueError(f"k_max must satisfy 1 <= k_max <= n, got {k_max}")
+    ks = _candidate_ks(1, k_max, n)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     lo, hi = x.min(axis=0), x.max(axis=0)
     if np.all(hi == lo):
         raise ValueError("degenerate data: zero range in every coordinate")
 
-    ks = np.arange(1, k_max + 1)
-    results = _results_over_ks(x, ks, algorithm, (seed, _GAP_DATA_STREAM), init=init, **params)
-    w_data = np.array([empirical_distortion(x, r.centers, "l1") for r in results])
-    w_ref = np.empty((B, k_max))
-    for b in range(B):
-        xb = spawn_rng(seed, _GAP_REF_DATA, b).uniform(lo, hi, size=(n, d))
-        ref_results = _results_over_ks(xb, ks, algorithm, (seed, _GAP_REF_RUN, b),
-                                       init=init, **params)
-        w_ref[b] = [empirical_distortion(xb, r.centers, "l1") for r in ref_results]
+    curve = _sweep(x, ks, algorithm, (seed, _GAP_DATA_STREAM), init, params)
+    w_data = curve.distortions
+    w_ref = np.array([
+        _sweep(spawn_rng(seed, _GAP_REF_DATA, b).uniform(lo, hi, size=(n, d)), ks,
+               algorithm, (seed, _GAP_REF_RUN, b), init, params).distortions
+        for b in range(B)])
 
     # a zero distortion has no log: truncate the candidate range before it
     bad = (w_data <= 0) | (w_ref <= 0).any(axis=0)
@@ -221,7 +215,7 @@ def _gap(points, k_max, B, algorithm, seed, *, init=None, **params):
             k_hat = int(ks[i])
             break
     report = SelectionReport(method="gap", k_hat=k_hat, ks=ks, criterion_values=gap)
-    return report, results
+    return report, curve
 
 
 def gap_select(points, k_max: int, B: int = 20, algorithm: str = "offline",
@@ -230,11 +224,11 @@ def gap_select(points, k_max: int, B: int = 20, algorithm: str = "offline",
     """Gap statistic: compare log distortion against uniform reference sets.
 
     Gap(k) = mean_b log W*_b(k) - log W(k) over B reference datasets drawn
-    uniformly over the per-coordinate range of the data; the selected k is
-    the smallest with Gap(k) >= Gap(k+1) - s_{k+1}.
+    uniformly over the per-coordinate range of the data, W being the
+    algorithm's own distortion; the selected k is the smallest with
+    Gap(k) >= Gap(k+1) - s_{k+1}.
     """
-    report, _ = _gap(points, k_max, B, algorithm, seed, init=init, **params)
-    return report
+    return _gap(points, k_max, B, algorithm, seed, init=init, **params)[0]
 
 
 def mean_silhouette(points, labels, metric: str = "euclidean") -> float:
@@ -276,24 +270,12 @@ def mean_silhouette(points, labels, metric: str = "euclidean") -> float:
     return float(s.mean())
 
 
-def _silhouette(points, k_max, metric, algorithm, seed, *, init=None, **params):
-    x = as_points(points)
-    if k_max < 2:
-        raise ValueError(f"silhouette selection needs k_max >= 2, got {k_max}")
-    ks = np.arange(2, k_max + 1)
-    results = _results_over_ks(x, ks, algorithm, (seed, _SIL_STREAM), init=init, **params)
-    scores = np.array([mean_silhouette(x, r.labels, metric) for r in results])
-    k_hat = int(ks[np.argmax(scores)])
-    report = SelectionReport(method="silhouette", k_hat=k_hat, ks=ks, criterion_values=scores)
-    return report, results
-
-
 def silhouette_select(points, k_max: int, metric: str = "euclidean",
                       algorithm: str = "offline", seed: int = 0, *,
                       init: InitMethod | None = None, **params) -> SelectionReport:
     """Select the k in 2..k_max that maximizes the mean silhouette."""
-    report, _ = _silhouette(points, k_max, metric, algorithm, seed, init=init, **params)
-    return report
+    return run_selection(points, "silhouette", k_max, algorithm, seed,
+                         silhouette_metric=metric, init=init, **params)[0]
 
 
 def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
@@ -304,12 +286,16 @@ def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
     if method == "slope":
         curve = distortion_curve(points, k_max, algorithm, seed, init=init, **params)
         report = slope_select(curve, min_window)
-        return report, curve.result_at(report.k_hat), curve
-    if method == "gap":
-        report, results = _gap(points, k_max, gap_b, algorithm, seed, init=init, **params)
-        return report, results[report.k_hat - 1], None
-    if method == "silhouette":
-        report, results = _silhouette(points, k_max, silhouette_metric, algorithm, seed,
-                                      init=init, **params)
-        return report, results[report.k_hat - 2], None
-    raise ValueError(f"unknown selection method {method!r}")
+    elif method == "gap":
+        report, curve = _gap(points, k_max, gap_b, algorithm, seed, init=init, **params)
+    elif method == "silhouette":
+        x = as_points(points)
+        curve = _sweep(x, _candidate_ks(2, k_max, x.shape[0]), algorithm, (seed, _SIL_STREAM),
+                       init, params)
+        scores = np.array([mean_silhouette(x, r.labels, silhouette_metric)
+                           for r in curve.results])
+        report = SelectionReport(method="silhouette", k_hat=int(curve.ks[np.argmax(scores)]),
+                                 ks=curve.ks, criterion_values=scores)
+    else:
+        raise ValueError(f"unknown selection method {method!r}")
+    return report, curve.result_at(report.k_hat), curve if method == "slope" else None

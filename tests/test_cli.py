@@ -147,9 +147,18 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (3, ("cluster", "--input", bad, "--k", 1)),
             (3, ("cluster", "--input", data, "--k", 500)),
             (3, ("cluster", "--input", data, "--k", 2, "--max-iter", 0)),
+            (3, ("cluster", "--input", data, "--k", 2, "--algorithm", "online",
+                 "--max-iter", 0)),
+            (3, ("cluster", "--input", data, "--k", 2, "--n-start", 0)),
+            (3, ("select", "--input", data, "--method", "silhouette", "--k-max", 81)),
             (2, ("select", "--scenario", "s2", "--k-max", 4, "--algorithm", "nope")),
             (3, ("select", "--scenario", "s2", "--k-max", 4, "--rho", 0.7)),
             (3, ("simulate", "--scenario", "s2", "--rho", -0.1)),
+            (2, ("simulate", "--scenario", "s2", "--input", data)),
+            (3, ("bench", "--scenario", "s2", "--alpha", 2)),
+            (3, ("bench", "--scenario", "s2", "--n-start", -2, "--trials", 1,
+                 "--k-max", 3)),
+            (2, ("bench", "--scenario", "s2", "--input", data)),
             (2, ("evaluate", "--input", data, "--labels", pred, "--rho", 0.1)),
             (3, ("evaluate", "--input", data, "--labels", pred))):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kmedians import (
+    ALGORITHMS,
     AsgConfig,
     InitMethod,
     adjusted_rand_index,
@@ -454,6 +455,20 @@ def test_lloyd_validation():
             lloyd_kmedians(pts, 2, median_max_iter=cap)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             kmeans_baseline(pts, 2, max_iter=cap)
+        # a restart count below 1 is refused, not clamped, even where the
+        # default init makes a single restart
+        for fit in (lloyd_kmedians, kmeans_baseline):
+            with pytest.raises(ValueError, match="n_start must be >= 1"):
+                fit(pts, 2, n_start=cap)
+    # run_clustering checks every parameter, also those the algorithm ignores
+    x = np.arange(12.0).reshape(6, 2)
+    for algorithm in ALGORITHMS:
+        for name in ("max_iter", "n_start", "median_max_iter"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                run_clustering(x, 2, algorithm, **{name: 0})
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="median_tol must be positive"):
+                run_clustering(x, 2, algorithm, median_tol=tol)
 
 
 def test_lloyd_descent_offline():

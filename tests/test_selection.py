@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kmedians.selection
 from kmedians import (
     DistortionCurve,
     distortion_curve,
@@ -338,3 +339,38 @@ def test_run_selection_returns_matching_result():
             assert curve.result_at(rep.k_hat) is result
     with pytest.raises(ValueError):
         run_selection(pts, "elbow", 5, "online", seed=0)
+
+
+def _recording_fits(monkeypatch):
+    """Record every result `selection` fits, in call order."""
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(run_clustering(*args, **kwargs))
+        return fits[-1]
+    monkeypatch.setattr(kmedians.selection, "run_clustering", recorded)
+    return fits
+
+
+def test_silhouette_refuses_k_max_above_n_before_fitting(monkeypatch):
+    fits = _recording_fits(monkeypatch)
+    pts = np.arange(12.0).reshape(6, 2)
+    for select in (lambda: silhouette_select(pts, 50, seed=0),
+                   lambda: run_selection(pts, "silhouette", 7, seed=0)):
+        with pytest.raises(ValueError, match="k_max"):
+            select()
+    assert fits == []
+
+
+def test_gap_w_is_the_fitted_distortion(monkeypatch):
+    # the data sweep fits k = 1..k_max first, then each reference set in turn
+    rng = np.random.default_rng(12)
+    pts = blobs(rng, [(-6.0, 0.0), (6.0, 0.0)], n_per=30)
+    k_max, B = 4, 3
+    for algorithm in ("offline", "semi_online", "online", "kmeans"):
+        fits = _recording_fits(monkeypatch)
+        rep = gap_select(pts, k_max, B=B, algorithm=algorithm, seed=4)
+        w = np.array([r.distortion for r in fits]).reshape(B + 1, k_max)
+        assert rep.ks.tolist() == list(range(1, k_max + 1))
+        assert np.array_equal(rep.criterion_values,
+                              np.log(w[1:]).mean(axis=0) - np.log(w[0])), algorithm

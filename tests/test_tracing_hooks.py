@@ -2,16 +2,20 @@
 
 perfbench/tracing.py wraps layer entry points at the names their callers look
 them up; a traced run stops (exit 3) when one of those names is gone. This
-checks the names, and the counts a traced Lloyd fit gives, without running
-the benchmark.
+checks the names, and the counts a traced Lloyd fit and traced gap and
+silhouette selections give, without running the benchmark.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import kmedians
 import kmedians.cli  # noqa: F401  (hooks reach the CLI and selection modules)
 import kmedians.selection  # noqa: F401
+from kmedians import clustering
+from kmedians._utils import pairwise_distances
 from kmedians.simulation import make_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -42,4 +46,37 @@ def test_traced_lloyd_counts_one_kernel_pass_per_iteration():
     assert counts["clustering.lloyd_iterations"] == r.iterations
     assert counts["clustering.restarts"] == 1
     assert counts["utils.pairwise_calls"] == r.iterations + 1
+    assert [getattr(owner, attr) for owner, attr in hooked] == originals
+
+
+def test_traced_selectors_fit_once_per_k(monkeypatch):
+    # gap takes W from the fits themselves: one Genie tree per dataset and
+    # no kernel pass beyond Lloyd's own; silhouette scores every k once
+    repaired = []
+    assign_repaired = clustering._assign_repaired
+
+    def watched(x, centers):
+        # checked with the untraced kernel, before the centers are touched
+        live = np.unique(pairwise_distances(x, centers).argmin(axis=1)).size
+        repaired.append(live < centers.shape[0])
+        return assign_repaired(x, centers)
+    monkeypatch.setattr(clustering, "_assign_repaired", watched)
+
+    tracing = _load_tracing()
+    hooked = [tracing._resolve(kmedians, path) for path, _, _ in tracing.HOOKS]
+    originals = [getattr(owner, attr) for owner, attr in hooked]
+    rng = np.random.default_rng(3)
+    x = np.vstack([c + rng.normal(size=(40, 2)) for c in ((-8.0, 0.0), (8.0, 0.0))])
+    k_max = 4
+    with tracing.Tracer().job(kmedians, 0) as counts:
+        kmedians.gap_select(x, k_max, B=3, seed=1)
+    assert repaired and not any(repaired)
+    assert counts["selection.gap_reference_sets"] == 3
+    assert counts["genie.builds"] == 4
+    assert counts["clustering.restarts"] == 4 * k_max
+    assert counts["utils.pairwise_calls"] == (counts["clustering.lloyd_iterations"]
+                                              + counts["clustering.restarts"])
+    with tracing.Tracer().job(kmedians, 1) as counts:
+        kmedians.silhouette_select(x, k_max, seed=1)
+    assert counts["selection.silhouette_calls"] == k_max - 1
     assert [getattr(owner, attr) for owner, attr in hooked] == originals
