@@ -40,6 +40,7 @@ _GAP_DATA_STREAM = 11
 _GAP_REF_DATA = 12
 _GAP_REF_RUN = 13
 _SIL_STREAM = 21
+_SIL_BLOCK = 512
 
 
 @dataclass
@@ -231,51 +232,93 @@ def gap_select(points, k_max: int, B: int = 20, algorithm: str = "offline",
     return _gap(points, k_max, B, algorithm, seed, init=init, **params)[0]
 
 
-def mean_silhouette(points, labels, metric: str = "euclidean") -> float:
-    """Mean silhouette coefficient of a labeling.
+def _cdist_metric(metric: str) -> str:
+    name = {"euclidean": "euclidean", "manhattan": "cityblock"}.get(metric)
+    if name is None:
+        raise ValueError(f"unknown metric {metric!r}; expected 'euclidean' or 'manhattan'")
+    return name
+
+
+def mean_silhouette(points, labels, metric: str = "euclidean") -> float | np.ndarray:
+    """Mean silhouette coefficient of a labeling, or of each row of a stack.
 
     s(i) = (b(i) - a(i)) / max(a(i), b(i)) with a(i) the mean distance to
     the rest of the point's own cluster and b(i) the smallest mean
-    distance to another cluster; singletons and all-zero distances score 0.
-    """
-    x = as_points(points)
-    labels = np.asarray(labels)
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("labels length does not match points")
-    uniq, inv = np.unique(labels, return_inverse=True)
-    k = uniq.shape[0]
-    if k < 2:
-        return 0.0
-    metric_name = {"euclidean": "euclidean", "manhattan": "cityblock"}.get(metric)
-    if metric_name is None:
-        raise ValueError(f"unknown metric {metric!r}; expected 'euclidean' or 'manhattan'")
-    dist = cdist(x, x, metric_name)
-    onehot = np.zeros((x.shape[0], k))
-    onehot[np.arange(x.shape[0]), inv] = 1.0
-    counts = onehot.sum(axis=0)
-    sums = dist @ onehot
+    distance to another cluster; singletons, all-zero distances and a
+    labeling with a single cluster score 0.
 
+    labels of shape (n,) give a float; a stack of shape (m, n) gives the m
+    scores as an array, each equal to the score of its row alone. The
+    distance matrix is never held whole: one pass over blocks of 512 to
+    1023 rows computes each block's distances once and reduces them to
+    per-cluster sums for every labeling, so memory is O(512 n + n sum(k))
+    for the m labelings' cluster counts k, however large m is.
+    """
+    metric_name = _cdist_metric(metric)
+    x = as_points(points)
+    n = x.shape[0]
+    labels = np.asarray(labels)
+    if labels.ndim not in (1, 2):
+        raise ValueError(f"labels must have shape (n,) or (m, n), got shape {labels.shape}")
+    if labels.shape[-1] != n:
+        raise ValueError(f"labels length does not match points: labels shape {labels.shape}, "
+                         f"{n} points")
+    invs = [np.unique(row, return_inverse=True)[1] for row in labels.reshape(-1, n)]
+    scored = [j for j, inv in enumerate(invs) if inv.max() > 0]
+    onehots = [(invs[j][:, None] == np.arange(invs[j].max() + 1)).astype(float)
+               for j in scored]
+    sums = [np.empty(onehot.shape) for onehot in onehots]
+    # Equal blocks of at least 512 rows (unless n < 512), and one product per
+    # labeling: the shape of a product picks the summation order (numpy sends
+    # a one-row product to a matrix-vector routine, OpenBLAS small products to
+    # a kernel of their own), so a short last block or a product shared by
+    # the whole stack could change a score's last bits.
+    for rows in np.array_split(np.arange(n), max(1, n // _SIL_BLOCK)):
+        dist = cdist(x[rows], x, metric_name)
+        for onehot, cluster_sums in zip(onehots, sums):
+            cluster_sums[rows] = dist @ onehot
+        del dist  # before the next block is allocated
+    means = np.zeros(len(invs))
+    means[scored] = [_silhouette_from_sums(invs[j], onehot, cluster_sums)
+                     for j, onehot, cluster_sums in zip(scored, onehots, sums)]
+    return float(means[0]) if labels.ndim == 1 else means
+
+
+def _silhouette_from_sums(inv, onehot, sums) -> float:
+    """Mean silhouette from each point's summed distances to every cluster."""
+    n = inv.shape[0]
+    counts = onehot.sum(axis=0)
     own = counts[inv]
-    a = np.zeros(x.shape[0])
+    a = np.zeros(n)
     multi = own > 1
-    a[multi] = sums[np.arange(x.shape[0]), inv][multi] / (own[multi] - 1.0)
+    a[multi] = sums[np.arange(n), inv][multi] / (own[multi] - 1.0)
     mean_to = sums / counts
-    mean_to[np.arange(x.shape[0]), inv] = np.inf
+    mean_to[np.arange(n), inv] = np.inf
     b = mean_to.min(axis=1)
 
-    s = np.zeros(x.shape[0])
+    s = np.zeros(n)
     denom = np.maximum(a, b)
     ok = multi & (denom > 0)
     s[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(s.mean())
 
 
+def _silhouette(points, k_max, metric, algorithm, seed, *, init=None, **params):
+    x = as_points(points)
+    ks = _candidate_ks(2, k_max, x.shape[0])
+    _cdist_metric(metric)
+    curve = _sweep(x, ks, algorithm, (seed, _SIL_STREAM), init, params)
+    scores = mean_silhouette(x, np.stack([r.labels for r in curve.results]), metric)
+    report = SelectionReport(method="silhouette", k_hat=int(ks[np.argmax(scores)]), ks=ks,
+                             criterion_values=scores)
+    return report, curve
+
+
 def silhouette_select(points, k_max: int, metric: str = "euclidean",
                       algorithm: str = "offline", seed: int = 0, *,
                       init: InitMethod | None = None, **params) -> SelectionReport:
     """Select the k in 2..k_max that maximizes the mean silhouette."""
-    return run_selection(points, "silhouette", k_max, algorithm, seed,
-                         silhouette_metric=metric, init=init, **params)[0]
+    return _silhouette(points, k_max, metric, algorithm, seed, init=init, **params)[0]
 
 
 def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
@@ -289,13 +332,8 @@ def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
     elif method == "gap":
         report, curve = _gap(points, k_max, gap_b, algorithm, seed, init=init, **params)
     elif method == "silhouette":
-        x = as_points(points)
-        curve = _sweep(x, _candidate_ks(2, k_max, x.shape[0]), algorithm, (seed, _SIL_STREAM),
-                       init, params)
-        scores = np.array([mean_silhouette(x, r.labels, silhouette_metric)
-                           for r in curve.results])
-        report = SelectionReport(method="silhouette", k_hat=int(curve.ks[np.argmax(scores)]),
-                                 ks=curve.ks, criterion_values=scores)
+        report, curve = _silhouette(points, k_max, silhouette_metric, algorithm, seed,
+                                    init=init, **params)
     else:
         raise ValueError(f"unknown selection method {method!r}")
     return report, curve.result_at(report.k_hat), curve if method == "slope" else None

@@ -1,7 +1,10 @@
 """Selectors for the number of clusters: slope criterion, gap, silhouette."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import kmedians.selection
 from kmedians import (
@@ -291,6 +294,106 @@ def test_mean_silhouette_matches_bruteforce():
         expected, scores = brute_silhouette(pts, labels, metric)
         assert all(-1.0 <= s <= 1.0 for s in scores)
         assert abs(mean_silhouette(pts, labels, metric) - expected) <= 1e-12
+
+
+def _reference_mean_silhouette(points, labels, metric="euclidean"):
+    """The dense computation mean_silhouette replaced: one n x n matrix per labeling."""
+    x = np.asarray(points, dtype=float)
+    uniq, inv = np.unique(labels, return_inverse=True)
+    k = uniq.shape[0]
+    if k < 2:
+        return 0.0
+    dist = cdist(x, x, {"euclidean": "euclidean", "manhattan": "cityblock"}[metric])
+    onehot = np.zeros((x.shape[0], k))
+    onehot[np.arange(x.shape[0]), inv] = 1.0
+    counts = onehot.sum(axis=0)
+    sums = dist @ onehot
+
+    own = counts[inv]
+    a = np.zeros(x.shape[0])
+    multi = own > 1
+    a[multi] = sums[np.arange(x.shape[0]), inv][multi] / (own[multi] - 1.0)
+    mean_to = sums / counts
+    mean_to[np.arange(x.shape[0]), inv] = np.inf
+    b = mean_to.min(axis=1)
+
+    s = np.zeros(x.shape[0])
+    denom = np.maximum(a, b)
+    ok = multi & (denom > 0)
+    s[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(s.mean())
+
+
+def _labelings(rng, x):
+    """A stack of awkward labelings of the rows of x."""
+    n = x.shape[0]
+    nearest = cdist(x, rng.normal(scale=3.0, size=(6, x.shape[1]))).argmin(axis=1)
+    gaps = np.array([0, 5, 7])[rng.integers(0, 3, size=n)]
+    singletons = rng.integers(0, 4, size=n)
+    singletons[[0, n // 2, n - 1]] = [10, 11, 12]
+    return np.stack([rng.integers(0, 2, size=n), gaps, np.zeros(n, dtype=int), singletons,
+                     nearest, rng.integers(0, 12, size=n)])
+
+
+def test_mean_silhouette_matches_dense_reference_bytewise():
+    # 1025 rows leave one row past two blocks of 512: the blocking must not
+    # change a single bit, and neither may scoring a labeling inside a stack
+    rng = np.random.default_rng(21)
+    for n in (511, 512, 513, 1025):
+        x = rng.normal(size=(n, 3))
+        x[1:4] = x[0]  # duplicate points
+        stack = _labelings(rng, x)
+        for metric in ("euclidean", "manhattan"):
+            expected = np.array([_reference_mean_silhouette(x, row, metric) for row in stack])
+            stacked = mean_silhouette(x, stack, metric)
+            assert stacked.shape == (len(stack),)
+            assert stacked.tobytes() == expected.tobytes(), (n, metric)
+            single = np.array([mean_silhouette(x, row, metric) for row in stack])
+            assert single.tobytes() == expected.tobytes(), (n, metric)
+            assert stacked[2] == 0.0  # the all-one-cluster row
+
+
+def test_mean_silhouette_memory_stays_below_a_quarter_of_the_dense_matrix():
+    # numpy reports its buffers to tracemalloc; the dense n x n matrix alone
+    # would be n^2 * 8 bytes
+    rng = np.random.default_rng(22)
+    n = 4000
+    x = rng.normal(size=(n, 3))
+    stack = np.stack([rng.integers(0, k, size=n) for k in range(2, 13)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        scores = mean_silhouette(x, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (11,)
+    assert peak < n * n * 8 / 4
+
+
+def test_mean_silhouette_checks_metric_and_labels_shape():
+    x = np.random.default_rng(23).normal(size=(6, 2))
+    with pytest.raises(ValueError, match="unknown metric"):
+        mean_silhouette(x, np.zeros(6, dtype=int), "foo")
+    for bad in (np.zeros((6, 1), dtype=int), np.zeros((2, 3, 6), dtype=int), np.int64(0)):
+        with pytest.raises(ValueError, match=r"shape \(") as err:
+            mean_silhouette(x, bad)
+        assert str(bad.shape) in str(err.value)
+    for bad in (np.zeros(5, dtype=int), np.zeros((2, 7), dtype=int)):
+        with pytest.raises(ValueError, match="labels length does not match points"):
+            mean_silhouette(x, bad)
+    assert mean_silhouette(x, np.zeros((0, 6), dtype=int)).shape == (0,)
+
+
+def test_silhouette_select_refuses_stray_keywords_and_unknown_metric(monkeypatch):
+    pts = np.arange(40.0).reshape(20, 2)
+    for stray in ({"min_window": 3}, {"gap_b": 7}):
+        with pytest.raises(TypeError):
+            silhouette_select(pts, 4, seed=0, **stray)
+    fits = _recording_fits(monkeypatch)
+    with pytest.raises(ValueError, match="unknown metric"):
+        silhouette_select(pts, 4, metric="foo", seed=0)
+    assert fits == []
 
 
 def test_silhouette_two_blobs():

@@ -51,7 +51,7 @@ def test_traced_lloyd_counts_one_kernel_pass_per_iteration():
 
 def test_traced_selectors_fit_once_per_k(monkeypatch):
     # gap takes W from the fits themselves: one Genie tree per dataset and
-    # no kernel pass beyond Lloyd's own; silhouette scores every k once
+    # no kernel pass beyond Lloyd's own; silhouette scores every k in one call
     repaired = []
     assign_repaired = clustering._assign_repaired
 
@@ -78,5 +78,6 @@ def test_traced_selectors_fit_once_per_k(monkeypatch):
                                               + counts["clustering.restarts"])
     with tracing.Tracer().job(kmedians, 1) as counts:
         kmedians.silhouette_select(x, k_max, seed=1)
-    assert counts["selection.silhouette_calls"] == k_max - 1
+    assert counts["selection.silhouette_calls"] == 1
+    assert counts["selection.silhouette_pairs"] == len(x) ** 2
     assert [getattr(owner, attr) for owner, attr in hooked] == originals
