@@ -94,3 +94,8 @@ def spawn_rng(*keys: int) -> np.random.Generator:
     do not depend on evaluation order.
     """
     return np.random.default_rng([int(k) for k in keys])
+
+
+def derive_seed(*keys: int) -> int:
+    """An integer seed for the independent stream keyed by `keys` (see spawn_rng)."""
+    return int(spawn_rng(*keys).integers(2**63))

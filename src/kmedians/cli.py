@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._utils import spawn_rng
+from ._utils import derive_seed
 from .clustering import ALGORITHMS, AsgConfig, InitMethod, run_clustering
 from .evaluation import adjusted_rand_index, centroid_l1_error, summarize_trials
 from .selection import run_selection
@@ -46,10 +46,6 @@ _LAWS = {
     "t2": dict(law="student", df=2),
     "uniform": dict(law="uniform", low=-10.0, high=10.0),
 }
-
-
-def derive_seed(*keys: int) -> int:
-    return int(spawn_rng(*keys).integers(2**63))
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +157,19 @@ def _write_csv(path: Path, header: list[str], rows):
                         for v in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """numpy arrays and integers as JSON values; np.float64 is already a float."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_report(out_dir: Path, report: dict) -> Path:
     path = out_dir / "report.json"
-    path.write_text(json.dumps(_jsonable(report), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(report, indent=2, default=_json_default) + "\n",
+                    encoding="utf-8")
     return path
 
 
@@ -215,9 +205,16 @@ def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho
                    law: str, contam_seed: int | None = None):
     """A named scenario drawn from `seed`, contaminated when rho > 0.
 
-    Returns (LabeledDataset, generating centers). The contamination draw
-    uses `contam_seed`, derived from `seed` unless given.
+    Returns (LabeledDataset, generating centers). `points_per_cluster` sizes
+    sphere10 (500 when None); the other scenarios have fixed sizes and refuse
+    it. The contamination draw uses `contam_seed`, derived from `seed` unless
+    given.
     """
+    if points_per_cluster is not None:
+        if scenario != "sphere10":
+            raise ConfigError(f"--points-per-cluster only sizes sphere10 data, not {scenario}")
+        if points_per_cluster < 1:
+            raise ValueError(f"--points-per-cluster must be >= 1, got {points_per_cluster}")
     spec = _contamination(rho, law)
     data_seed = derive_seed(seed, _DATA_STREAM)
     if scenario == "sphere10":
@@ -308,7 +305,7 @@ class ConfigError(Exception):
 
 def _echo(args) -> dict:
     skip = {"func", "config", "verbose"}
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _require_scenario(args) -> None:
@@ -320,10 +317,17 @@ def _require_scenario(args) -> None:
         raise ConfigError(f"{args.command} requires --scenario")
 
 
-def _prepare_out(args) -> Path:
+def _write_outputs(args, files: dict, **blocks) -> int:
+    """Create --out and write a finished run into it: each `files` entry
+    (name -> (file, header, rows)) as CSV, then report.json holding the
+    command, the config echo, `blocks` and the output map, in that order."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for file, header, rows in files.values():
+        _write_csv(out / file, header, rows)
+    write_report(out, {"command": args.command, "config": _echo(args), **blocks,
+                       "outputs": {name: f[0] for name, f in files.items()}})
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -350,35 +354,27 @@ def _fit_and_report(args) -> int:
         log.info("select: method=%s k_hat=%d in %.2fs", args.method, report_sel.k_hat,
                  time.perf_counter() - t0)
 
-    out = _prepare_out(args)
-    outputs = {"labels": "labels.csv"}
-    _write_csv(out / "labels.csv", ["label"], [[int(v)] for v in result.labels])
+    files = {"labels": ("labels.csv", ["label"], [[int(v)] for v in result.labels])}
     if report_sel is not None:
-        outputs.update(curve="curve.csv", projection="projection.csv")
-        if curve is not None:
-            _write_csv(out / "curve.csv", ["k", "distortion", "criterion"],
-                       zip(curve.ks.tolist(), curve.distortions, report_sel.criterion_values))
-            _write_csv(out / "windows.csv", ["window", "slope", "k_hat"],
-                       report_sel.window_table)
-            outputs["windows"] = "windows.csv"
+        if curve is None:
+            files["curve"] = ("curve.csv", ["k", "criterion"],
+                              zip(report_sel.ks.tolist(), report_sel.criterion_values))
         else:
-            _write_csv(out / "curve.csv", ["k", "criterion"],
-                       zip(report_sel.ks.tolist(), report_sel.criterion_values))
+            files["curve"] = ("curve.csv", ["k", "distortion", "criterion"],
+                              zip(curve.ks.tolist(), curve.distortions,
+                                  report_sel.criterion_values))
         proj = pca_projection(points)
-        _write_csv(out / "projection.csv", ["pc1", "pc2", "label"],
-                   [(p[0], p[1], int(lab)) for p, lab in zip(proj, result.labels)])
-
-    report = {
-        "command": args.command,
-        "config": _echo(args),
-        "selection": None if report_sel is None else _selection_block(report_sel),
-        "clustering": _clustering_block(result),
-        "evaluation": _evaluation_block(result.labels, true_labels, mask,
-                                        result.centers, truth_centers),
-        "outputs": outputs,
-    }
-    write_report(out, report)
-    return 0
+        files["projection"] = ("projection.csv", ["pc1", "pc2", "label"],
+                               [(p[0], p[1], int(lab)) for p, lab in zip(proj, result.labels)])
+        if curve is not None:
+            files["windows"] = ("windows.csv", ["window", "slope", "k_hat"],
+                                report_sel.window_table)
+    return _write_outputs(
+        args, files,
+        selection=None if report_sel is None else _selection_block(report_sel),
+        clustering=_clustering_block(result),
+        evaluation=_evaluation_block(result.labels, true_labels, mask, result.centers,
+                                     truth_centers))
 
 
 def cmd_cluster(args) -> int:
@@ -391,6 +387,8 @@ def cmd_select(args) -> int:
     if args.method == "none":
         if args.k is None:
             raise ConfigError("--method none requires --k")
+        if args.k_max is not None:
+            raise ConfigError("--k-max conflicts with --method none; use --k")
     elif args.k is not None:
         raise ConfigError("--k conflicts with a selection method; use --k-max")
     elif args.k_max is None:
@@ -402,20 +400,13 @@ def cmd_simulate(args) -> int:
     _require_scenario(args)
     data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                              args.rho, args.law)
-    out = _prepare_out(args)
-    _write_csv(out / "dataset.csv",
-               [f"x{i}" for i in range(data.points.shape[1])] + ["label", "contaminated"],
-               ([*row, int(lab), int(con)] for row, lab, con
-                in zip(data.points, data.true_labels, data.contaminated)))
-    report = {
-        "command": args.command,
-        "config": _echo(args),
-        "dataset": {"n": data.points.shape[0], "d": data.points.shape[1],
-                    "n_contaminated": int(data.contaminated.sum()), "spec": data.spec},
-        "outputs": {"dataset": "dataset.csv"},
-    }
-    write_report(out, report)
-    return 0
+    rows = ([*row, int(lab), int(con)] for row, lab, con
+            in zip(data.points, data.true_labels, data.contaminated))
+    header = [f"x{i}" for i in range(data.points.shape[1])] + ["label", "contaminated"]
+    return _write_outputs(
+        args, {"dataset": ("dataset.csv", header, rows)},
+        dataset={"n": data.points.shape[0], "d": data.points.shape[1],
+                 "n_contaminated": int(data.contaminated.sum()), "spec": data.spec})
 
 
 def cmd_bench(args) -> int:
@@ -423,7 +414,9 @@ def cmd_bench(args) -> int:
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
-    ppc = args.points_per_cluster or (500 if args.full else 200)
+    ppc = args.points_per_cluster
+    if ppc is None and args.scenario == "sphere10":
+        ppc = 500 if args.full else 200
     k_max = args.k_max or _SCENARIO_KMAX[args.scenario]
     algorithms = [a.strip() for a in args.algorithm.split(",")]
     if "all" in algorithms:
@@ -459,18 +452,9 @@ def cmd_bench(args) -> int:
             rows.append([args.scenario, args.method, algorithm, args.law, rho,
                          s.trials, s.n_correct, s.k_bar, s.ari_mean, s.l1_error_median])
 
-    out = _prepare_out(args)
-    _write_csv(out / "summary.csv",
-               ["scenario", "method", "algorithm", "law", "rho", "trials",
-                "n_correct", "k_bar", "ari_mean", "l1_error_median"], rows)
-    report = {
-        "command": args.command,
-        "config": _echo(args),
-        "rows": len(rows),
-        "outputs": {"summary": "summary.csv"},
-    }
-    write_report(out, report)
-    return 0
+    header = ["scenario", "method", "algorithm", "law", "rho", "trials",
+              "n_correct", "k_bar", "ari_mean", "l1_error_median"]
+    return _write_outputs(args, {"summary": ("summary.csv", header, rows)}, rows=len(rows))
 
 
 def cmd_evaluate(args) -> int:
@@ -490,13 +474,8 @@ def cmd_evaluate(args) -> int:
     if args.true_centers:
         true_centers = load_csv(args.true_centers)[0]
         pred_centers = load_csv(args.pred_centers)[0]
-    block = _evaluation_block(pred, true_labels, mask, pred_centers, true_centers,
-                              n=int(points.shape[0]))
-    out = _prepare_out(args)
-    report = {"command": args.command, "config": _echo(args), "evaluation": block,
-              "outputs": {}}
-    write_report(out, report)
-    return 0
+    return _write_outputs(args, {}, evaluation=_evaluation_block(
+        pred, true_labels, mask, pred_centers, true_centers, n=int(points.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -619,39 +598,39 @@ def _config_to_argv(cfg: dict, parser: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("error: --config requires a path", file=sys.stderr)
-            return 2
-        try:
-            doc = json.loads(Path(argv[i + 1]).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: --config: {e}", file=sys.stderr)
-            return 3
-        cfg = doc.get("config", doc) if isinstance(doc, dict) else None
-        if not isinstance(cfg, dict):
-            print("error: --config: document must be a JSON object", file=sys.stderr)
-            return 3
-        rest = argv[:i] + argv[i + 2:]
-        command = doc.get("command") or cfg.get("command")
-        if rest and not rest[0].startswith("-"):
-            command = rest.pop(0)
-        if not command:
-            print("error: --config document does not name a command", file=sys.stderr)
-            return 2
-        commands = next(a for a in parser._actions if a.dest == "command").choices
-        # an unknown command is left for argparse to report
-        replay = _config_to_argv(cfg, commands[command]) if command in commands else []
-        argv = [command] + replay + rest
-
-    args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(message)s",
-                        level=logging.INFO if args.verbose else logging.WARNING)
+def _replay(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """`argv` with `--config FILE` replaced by the subcommand and flags of the
+    report or config echo in FILE; a subcommand named in `argv` wins."""
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config")
+    if i + 1 >= len(argv):
+        raise ConfigError("--config requires a path")
     try:
+        doc = json.loads(Path(argv[i + 1]).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as e:
+        raise ValueError(f"--config: {e}") from None
+    cfg = doc.get("config", doc) if isinstance(doc, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValueError("--config: document must be a JSON object")
+    rest = argv[:i] + argv[i + 2:]
+    command = doc.get("command") or cfg.get("command")
+    if rest and not rest[0].startswith("-"):
+        command = rest.pop(0)
+    if not command:
+        raise ConfigError("--config document does not name a command")
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    # an unknown command is left for argparse to report
+    replay = _config_to_argv(cfg, commands[command]) if command in commands else []
+    return [command] + replay + rest
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(_replay(list(sys.argv[1:] if argv is None else argv), parser))
+        logging.basicConfig(stream=sys.stderr, format="%(message)s",
+                            level=logging.INFO if args.verbose else logging.WARNING)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

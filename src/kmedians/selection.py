@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._genie import GenieHierarchy
-from ._utils import as_points, spawn_rng
+from ._utils import as_points, derive_seed, spawn_rng
 from .clustering import ClusteringResult, InitMethod, run_clustering
 
 __all__ = [
@@ -113,8 +113,7 @@ def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
         init_k = init
         if tree is not None:
             init_k = InitMethod(kind="provided", provided_centers=tree.centers_at(x, k))
-        run_seed = spawn_rng(*seed_key, k).integers(2**63)
-        results.append(run_clustering(x, int(k), algorithm, seed=int(run_seed),
+        results.append(run_clustering(x, int(k), algorithm, seed=derive_seed(*seed_key, k),
                                       init=init_k, **params))
     return DistortionCurve(n=x.shape[0], ks=ks, distortions=[r.distortion for r in results],
                            results=results)

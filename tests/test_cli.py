@@ -160,10 +160,54 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
                  "--k-max", 3)),
             (2, ("bench", "--scenario", "s2", "--input", data)),
             (2, ("evaluate", "--input", data, "--labels", pred, "--rho", 0.1)),
-            (3, ("evaluate", "--input", data, "--labels", pred))):
+            (3, ("evaluate", "--input", data, "--labels", pred)),
+            (2, ("simulate", "--scenario", "s2", "--points-per-cluster", 50)),
+            (2, ("cluster", "--scenario", "s1", "--k", 2, "--points-per-cluster", 10)),
+            (2, ("bench", "--scenario", "s3", "--points-per-cluster", 10, "--trials", 1,
+                 "--k-max", 3)),
+            (3, ("simulate", "--scenario", "sphere10", "--points-per-cluster", 0)),
+            (3, ("bench", "--scenario", "sphere10", "--points-per-cluster", 0, "--trials", 1,
+                 "--k-max", 3)),
+            (2, ("select", "--input", data, "--method", "none", "--k", 3, "--k-max", 5))):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", out) == code, argv
         assert not out.exists(), argv
+    empty, listed = tmp_path / "empty.json", tmp_path / "list.json"
+    empty.write_text("{}")
+    listed.write_text("[]")
+    # --out comes first here, so that it is not read as the --config path
+    for code, config in ((2, ()), (3, (tmp_path / "missing.json",)), (3, (listed,)),
+                         (2, (empty,))):
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", *config) == code, config
+        assert not out.exists(), config
+
+
+def test_every_subcommand_writes_its_report_and_outputs(tmp_path):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    fit = ("command", "config", "selection", "clustering", "evaluation", "outputs")
+    curves = {"labels": "labels.csv", "curve": "curve.csv", "projection": "projection.csv"}
+    for i, (argv, keys, outputs) in enumerate((
+            (("cluster", "--input", data, "--k", 2), fit, {"labels": "labels.csv"}),
+            (("select", "--input", data, "--method", "slope", "--k-max", 4), fit,
+             {**curves, "windows": "windows.csv"}),
+            (("select", "--input", data, "--method", "gap", "--k-max", 3, "--gap-b", 2),
+             fit, curves),
+            (("simulate", "--scenario", "s1"), ("command", "config", "dataset", "outputs"),
+             {"dataset": "dataset.csv"}),
+            (("bench", "--scenario", "sphere10", "--points-per-cluster", 10, "--trials", 1,
+              "--k-max", 3, "--algorithm", "kmeans"), ("command", "config", "rows", "outputs"),
+             {"summary": "summary.csv"}),
+            (("evaluate", "--input", data, "--labels", data),
+             ("command", "config", "evaluation", "outputs"), {}))):
+        out = tmp_path / f"run{i}"
+        assert run_cli(*argv, "--out", out) == 0, argv
+        report = json.loads((out / "report.json").read_text())
+        assert tuple(report) == keys, argv
+        assert list(report["outputs"].items()) == list(outputs.items()), argv
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([*outputs.values(), "report.json"]), argv
 
 
 def test_header_required(tmp_path):
