@@ -383,7 +383,14 @@ def cmd_cluster(args) -> int:
     return _fit_and_report(args)
 
 
+def _check_min_window(args) -> None:
+    """Refuse --min-window under a method that has no slope-fit window."""
+    if args.min_window is not None and args.method != "slope":
+        raise ConfigError(f"--min-window applies only to --method slope, not {args.method}")
+
+
 def cmd_select(args) -> int:
+    _check_min_window(args)
     if args.method == "none":
         if args.k is None:
             raise ConfigError("--method none requires --k")
@@ -411,6 +418,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     _require_scenario(args)
+    _check_min_window(args)
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
@@ -527,7 +535,8 @@ def _add_algo(p: argparse.ArgumentParser, *, multi: bool = False):
 def _add_selection(p: argparse.ArgumentParser):
     p.add_argument("--k-max", type=int, default=None, help="largest candidate k")
     p.add_argument("--min-window", type=int, default=None,
-                   help="smallest slope-fit window (default max(3, 0.3*k_max))")
+                   help="smallest slope-fit window, --method slope only "
+                        "(default max(3, 0.3*k_max))")
     p.add_argument("--gap-b", type=int, default=20,
                    help="reference sets for the gap statistic (default 20)")
     p.add_argument("--silhouette-metric", choices=["euclidean", "manhattan"],

@@ -24,8 +24,9 @@ class MedianEstimate:
 
     point      : the estimate in R^d
     iterations : fixed-point iterations (Weiszfeld) or stream updates (ASG)
-    converged  : True when the displacement criterion fired before the
-                 iteration cap (Weiszfeld); ASG always completes its stream
+    converged  : True when Weiszfeld stopped before its iteration cap, on the
+                 displacement criterion or on a data point that is the
+                 median; ASG always completes its stream
     objective  : mean Euclidean distance from the data to `point`
     """
 
@@ -66,45 +67,16 @@ def l1_objective(points, u) -> float:
     return float(pairwise_distances(x, u[None, :])[:, 0].mean())
 
 
-def _weiszfeld_step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """One fixed-point update; points coinciding with the iterate carry no weight.
-
-    When the iterate sits exactly on a data point, jumping to the
-    weighted average of the remaining points can increase the objective;
-    in that case the iterate stays put (it is then a fixed point and the
-    displacement stopping rule terminates). This keeps the objective
-    non-increasing along every trajectory.
-    """
-    d = np.linalg.norm(x - m, axis=1)
-    keep = d > 0.0
-    if not keep.any():
-        # every point sits on the iterate: nothing to move
-        return m.copy()
-    w = 1.0 / d[keep]
-    m_new = (w[:, None] * x[keep]).sum(axis=0) / w.sum()
-    if not keep.all():
-        if np.linalg.norm(x - m_new, axis=1).mean() > d.mean():
-            return m.copy()
-    return m_new
-
-
-def _default_start(x: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Coordinate-wise median, nudged off the data if it lands on a point.
-
-    The nudge must exceed the displacement stopping threshold, otherwise
-    the first fixed-point step (which snaps back toward the coincident
-    point) would read as converged while the iterate may still be
-    escaping a non-optimal data point.
-    """
-    start = np.median(x, axis=0)
-    diag = float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
-    if diag == 0.0:
-        return start
-    shift = max(1e-9 * diag, 16.0 * tol * (1.0 + float(np.linalg.norm(start))))
-    while (np.linalg.norm(x - start, axis=1) == 0.0).any():
-        start = start + shift
-        shift *= 2.0
-    return start
+def _start(x: np.ndarray, start) -> np.ndarray:
+    """The caller's `start`, checked against x, or the coordinate-wise median of x."""
+    if start is None:
+        return np.median(x, axis=0)
+    m = np.asarray(start, dtype=float).ravel()
+    if m.shape[0] != x.shape[1]:
+        raise ValueError("start dimension does not match data dimension")
+    if not np.isfinite(m).all():
+        raise ValueError("start must be finite")
+    return m
 
 
 def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None) -> MedianEstimate:
@@ -115,30 +87,18 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
     points : (n, d) array-like, nonempty
     tol : stopping threshold; iteration stops once the displacement
         satisfies ||m_new - m|| <= tol * (1 + ||m||)
-    max_iter : iteration cap
-    start : optional initial iterate; defaults to the coordinate-wise
-        median (perturbed slightly if it coincides with a data point)
+    max_iter : iteration cap, at least 1
+    start : optional finite initial iterate; defaults to the coordinate-wise
+        median. An iterate on a data point takes the Vardi-Zhang step
+        (see `_weiszfeld_blocks`), so it is never stuck there.
     """
     x = as_points(points)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if start is None:
-        m = _default_start(x, tol)
-    else:
-        m = np.asarray(start, dtype=float).ravel()
-        if m.shape[0] != x.shape[1]:
-            raise ValueError("start dimension does not match data dimension")
-
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        m_new = _weiszfeld_step(x, m)
-        if np.linalg.norm(m_new - m) <= tol * (1.0 + np.linalg.norm(m)):
-            m = m_new
-            converged = True
-            break
-        m = m_new
-    return MedianEstimate(point=m, iterations=it, converged=converged, objective=l1_objective(x, m))
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    m, steps, converged = _weiszfeld_blocks(x, np.array([0, x.shape[0]]), _start(x, start)[None],
+                                            tol, max_iter)
+    return MedianEstimate(point=m[0], iterations=int(steps[0]), converged=bool(converged[0]),
+                          objective=l1_objective(x, m[0]))
 
 
 def _rowdot(v: np.ndarray) -> np.ndarray:
@@ -146,23 +106,39 @@ def _rowdot(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+def _vardi_zhang(s: np.ndarray, wsum: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Next iterates of blocks whose iterates m sit on eta of their rows, from the
+    coordinate sums s and weight totals wsum of the other rows (Vardi & Zhang,
+    PNAS 2000). T = s / wsum is the plain step, which a block with eta = 0 takes.
+    With R = s - wsum * m, the iterate is the block's median when |R| <= eta and
+    stays; otherwise it moves to (1 - eta/|R|) T + (eta/|R|) m."""
+    with np.errstate(invalid="ignore", divide="ignore"):   # where R = 0 or wsum = 0
+        t = s / wsum[:, None]
+        nr = np.sqrt(_rowdot(s - wsum[:, None] * m))
+        r = (eta / nr)[:, None]
+        moved = (1.0 - r) * t + r * m
+    on = eta > 0
+    return np.where((on & (nr <= eta))[:, None], m, np.where(on[:, None], moved, t))
+
+
 def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol: float,
                       max_iter: int):
-    """Weiszfeld iteration on every block x[bounds[j]:bounds[j+1]] at once.
+    """Weiszfeld iteration on every block x[bounds[j]:bounds[j+1]] at once; the
+    package's only Weiszfeld solver.
 
-    Block j starts at starts[j] and follows `weiszfeld_median` step for step,
-    bit for bit, but a step is a handful of whole-array passes over all the
-    blocks still iterating: distances row by row as np.linalg.norm adds them,
-    coordinate sums by np.bincount (sequential, as numpy sums along axis 0),
-    weight totals block by block (pairwise, as numpy sums a 1-D array; so are
-    the coordinate sums when d = 1, where the axis-0 sum runs down one
-    contiguous column). A block stops once converged or after max_iter steps;
-    an empty block keeps its start.
+    Block j starts at starts[j]. A step is a handful of whole-array passes over
+    all the blocks still iterating: distances row by row as np.linalg.norm adds
+    them, coordinate sums by np.bincount (sequential, as numpy sums along
+    axis 0), weight totals block by block (pairwise, as numpy sums a 1-D array;
+    so are the coordinate sums when d = 1, where the axis-0 sum runs down one
+    contiguous column). The step moves m to the average of the rows weighted by
+    1 / |x - m|. Rows on the iterate (distance exactly 0) get weight 0 and their
+    block takes the `_vardi_zhang` step, which stops at a median data point and
+    leaves any other, so no block stalls where the plain step is undefined.
 
-    A block whose iterate lands on one of its points, where `_weiszfeld_step`
-    takes its guarded path, leaves the batch before that step. Returns
-    (points, handoffs); each hand-off (j, iterate, steps left) is finished by
-    `weiszfeld_median(block j, start=iterate, max_iter=steps left)`.
+    A block stops once converged, when ||m_new - m|| <= tol * (1 + ||m||), or
+    after max_iter steps; an empty block keeps its start and counts as
+    converged. Returns (points, steps, converged), one entry per block.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -172,7 +148,8 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     cols = np.ascontiguousarray(x.T)
     block = np.repeat(np.arange(k), sizes)    # block of every row
     active = np.flatnonzero(sizes > 0)
-    handoffs = []
+    steps = np.zeros(k, dtype=np.intp)
+    converged = sizes == 0
     step = 0
     rows = None
     while active.size and step < max_iter:
@@ -185,13 +162,10 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
             hi = np.cumsum(sizes[active])
             spans = list(zip((hi - sizes[active]).tolist(), hi.tolist()))
         dist = np.sqrt(_sq_dists(xa, m.T[:, ba]))
-        hit = ~(dist > 0.0)
-        if hit.any():
-            left = np.unique(ba[hit])
-            handoffs += [(j, m[j].copy(), max_iter - step) for j in left.tolist()]
-            active = np.setdiff1d(active, left)
-            rows = None
-            continue
+        hit = dist == 0.0
+        any_hit = hit.any()
+        if any_hit:
+            dist[hit] = np.inf                # weight 0
         w = 1.0 / dist
         wx = w * xa
         wsum = np.array([np.add.reduce(w[a:b]) for a, b in spans])
@@ -199,15 +173,22 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
             s = np.array([np.add.reduce(wx[0, a:b]) for a, b in spans])[:, None]
         else:
             s = np.bincount(bins, weights=wx.ravel(), minlength=k * d).reshape(d, k).T[active]
-        m_new = s / wsum[:, None]
         cur = m[active]
+        if any_hit:
+            m_new = _vardi_zhang(s, wsum, cur, np.bincount(ba[hit], minlength=k)[active])
+        else:
+            m_new = s / wsum[:, None]
+        # a block that stays on its median point moves by 0, which always passes
         done = np.sqrt(_rowdot(m_new - cur)) <= tol * (1.0 + np.sqrt(_rowdot(cur)))
         m[active] = m_new
         step += 1
         if done.any():
+            steps[active[done]] = step
+            converged[active[done]] = True
             active = active[~done]
             rows = None
-    return m, handoffs
+    steps[active] = step
+    return m, steps, converged
 
 
 def _asg_update(xi, m, m_bar, count, c_gamma, alpha):
@@ -245,12 +226,7 @@ def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0, start=None,
     x = as_points(points)
     if cfg is None:
         cfg = AsgConfig()
-    if start is None:
-        m = _default_start(x)
-    else:
-        m = np.asarray(start, dtype=float).ravel()
-        if m.shape[0] != x.shape[1]:
-            raise ValueError("start dimension does not match data dimension")
+    m = _start(x, start)
 
     # The order stream must stay aligned with the online clustering
     # algorithm at k=1: first permutation drawn directly from the seed.

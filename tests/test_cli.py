@@ -168,7 +168,16 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (3, ("simulate", "--scenario", "sphere10", "--points-per-cluster", 0)),
             (3, ("bench", "--scenario", "sphere10", "--points-per-cluster", 0, "--trials", 1,
                  "--k-max", 3)),
-            (2, ("select", "--input", data, "--method", "none", "--k", 3, "--k-max", 5))):
+            (2, ("select", "--input", data, "--method", "none", "--k", 3, "--k-max", 5)),
+            (2, ("select", "--input", data, "--method", "none", "--k", 3, "--min-window", 3)),
+            (2, ("select", "--input", data, "--method", "gap", "--k-max", 5,
+                 "--min-window", 3)),
+            (2, ("select", "--input", data, "--method", "silhouette", "--k-max", 5,
+                 "--min-window", 3)),
+            (2, ("bench", "--scenario", "s2", "--method", "gap", "--min-window", 3,
+                 "--trials", 1, "--k-max", 3)),
+            (2, ("bench", "--scenario", "s2", "--method", "silhouette", "--min-window", 3,
+                 "--trials", 1, "--k-max", 3))):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", out) == code, argv
         assert not out.exists(), argv
@@ -490,6 +499,19 @@ def test_config_replay_of_input_report(tmp_path):
     assert run_cli("--config", tmp_path / "a" / "report.json", "--out", tmp_path / "b") == 0
     assert (tmp_path / "a" / "labels.csv").read_bytes() == \
         (tmp_path / "b" / "labels.csv").read_bytes()
+
+
+def test_config_replay_of_a_report_without_min_window(tmp_path):
+    # a gap report echoes min_window: null, which replays as no --min-window
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    assert run_cli("select", "--input", data, "--method", "gap", "--k-max", 3, "--gap-b", 2,
+                   "--out", tmp_path / "a") == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["config"]["min_window"] is None
+    assert run_cli("--config", tmp_path / "a" / "report.json", "--out", tmp_path / "b") == 0
+    assert (tmp_path / "a" / "curve.csv").read_bytes() == \
+        (tmp_path / "b" / "curve.csv").read_bytes()
 
 
 @pytest.mark.parametrize("doc", ["[]", "3", '"select"', '{"config": [1]}'])

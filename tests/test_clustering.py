@@ -340,6 +340,35 @@ def _reference_lloyd(x, centers, m_step, max_iter):
     return centers, labels, iterations, pairwise_distances(x, centers).min(axis=1)
 
 
+def _reference_weiszfeld(x, m, tol, max_iter, coincident=None):
+    """Scalar Weiszfeld from m: the plain step while m sits on no point of x, and
+    the Vardi-Zhang step where it sits on eta of them, those points weighing 0.
+    Each coincident step appends (eta, stayed) to `coincident` when given."""
+    m = m.copy()
+    for _ in range(max_iter):
+        d = np.linalg.norm(x - m, axis=1)
+        on = d == 0.0
+        w = np.zeros_like(d)
+        w[~on] = 1.0 / d[~on]
+        s = (w[:, None] * x).sum(axis=0)
+        wsum = w.sum()
+        eta = int(on.sum())
+        if eta == 0:
+            m_new = s / wsum
+        else:
+            r_norm = np.linalg.norm(s - wsum * m)
+            if coincident is not None:
+                coincident.append((eta, bool(r_norm <= eta)))
+            if r_norm <= eta:           # m is the median
+                return m
+            r = eta / r_norm
+            m_new = (1.0 - r) * (s / wsum) + r * m
+        if np.linalg.norm(m_new - m) <= tol * (1.0 + np.linalg.norm(m)):
+            return m_new
+        m = m_new
+    return m
+
+
 def _reference_asg_step(cfg, rng):
     def m_step(members, center):
         m = center.copy()
@@ -375,6 +404,10 @@ def _lloyd_cases():
     # by symmetry the first step from (0, 0.5) lands exactly on the point (0, 0)
     x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
     yield "lands on a point", x, np.array([[0.0, 0.5], [100.3, 0.3]])
+    # the first step from (0, 0) lands exactly on (0, 2), which is not the median
+    x = np.array([[3.0, 4.0], [-3.0, 4.0], [6.0, 8.0], [-6.0, 8.0], [0.0, -2.0], [0.0, 2.0],
+                  [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
+    yield "lands off the median", x, np.array([[0.0, 0.0], [100.3, 0.3]])
     # all centers start on one point: two are empty and re-seeded one after the
     # other, and the first M-step must see the labels assigned after that
     x = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0], [0.0, 10.0], [0.0, 10.2]])
@@ -392,7 +425,7 @@ def _assert_same_fit(got, ref):
 def test_lloyd_once_matches_reference(x, c0):
     for tol, cap in ((1e-6, 100), (1e-10, 3)):
         def weiszfeld(members, center):
-            return weiszfeld_median(members, tol=tol, max_iter=cap, start=center).point
+            return _reference_weiszfeld(members, center, tol, cap)
         _assert_same_fit(_lloyd_once(x, c0, _median_step(tol, cap), 100),
                          _reference_lloyd(x, c0, weiszfeld, 100))
     _assert_same_fit(_lloyd_once(x, c0, _mean_step, 100),
@@ -402,21 +435,18 @@ def test_lloyd_once_matches_reference(x, c0):
                      _reference_lloyd(x, c0, _reference_asg_step(cfg, np.random.default_rng(7)), 3))
 
 
-def test_lloyd_cases_reach_the_edge_paths(monkeypatch):
-    import kmedians.clustering
+def test_lloyd_cases_reach_the_edge_paths():
     cases = {name: (x, c0) for name, x, c0 in _lloyd_cases()}
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["max_iter"])
-        return weiszfeld_median(*args, **kwargs)
-    monkeypatch.setattr(kmedians.clustering, "weiszfeld_median", counted)
-    # an iterate on a data point finishes in weiszfeld_median with the steps left
-    _lloyd_once(*cases["grid duplicates"], _median_step(1e-6, 100), 100)
-    assert 100 in calls
-    calls.clear()
-    _lloyd_once(*cases["lands on a point"], _median_step(1e-6, 100), 100)
-    assert calls[0] == 99
+    def coincident_steps(name):
+        seen = []
+        _reference_lloyd(*cases[name], lambda members, center: _reference_weiszfeld(
+            members, center, 1e-6, 100, seen), 100)
+        return seen
+    # iterates on data points: on duplicated ones, on the median, and off it
+    assert any(eta > 1 for eta, _ in coincident_steps("grid duplicates"))
+    assert (1, True) in coincident_steps("lands on a point")
+    assert (1, False) in coincident_steps("lands off the median")
     x, c0 = cases["empty clusters"]
     assert len(np.unique(_lloyd_once(x, c0, _mean_step, 100)[1])) < c0.shape[0]
 

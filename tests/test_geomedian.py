@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from kmedians import AsgConfig, asg_median, l1_objective, weiszfeld_median
-from kmedians.geomedian import _weiszfeld_step
 
 
 def test_l1_objective_values():
@@ -46,6 +46,83 @@ def test_weiszfeld_errors():
         weiszfeld_median([[np.nan, 0.0]])
     with pytest.raises(ValueError):
         weiszfeld_median([[0.0, 1.0]], tol=0.0)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            weiszfeld_median([[0.0, 1.0]], max_iter=cap)
+    for start in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+        for solver in (weiszfeld_median, asg_median):
+            with pytest.raises(ValueError, match="start must be finite"):
+                solver([[0.0, 1.0], [2.0, 3.0]], start=start)
+
+
+def _nelder_mead_optimum(x):
+    """Smallest mean distance scipy's Nelder-Mead finds from the mean and the
+    coordinate-wise median; independent of the Weiszfeld code."""
+    def f(u):
+        return np.linalg.norm(x - u, axis=1).mean()
+    opts = {"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20000}
+    return min(minimize(f, s0, method="Nelder-Mead", options=opts).fun
+               for s0 in (x.mean(axis=0), np.median(x, axis=0)))
+
+
+def _optimality(x, m):
+    """(eta, |R|) at m: the rows on m, and the norm of the sum of unit vectors
+    from m to the others; m is a median exactly when |R| <= eta."""
+    diff = x - m
+    d = np.linalg.norm(diff, axis=1)
+    on = d == 0.0
+    return int(on.sum()), float(np.linalg.norm((diff[~on] / d[~on, None]).sum(axis=0)))
+
+
+def test_weiszfeld_stops_on_a_median_data_point():
+    # |R| <= eta at the start: the start itself comes back after one step
+    est = weiszfeld_median([1.0, 2.0, 100.0])
+    assert (est.point[0], est.iterations, est.converged) == (2.0, 1, True)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.normal(scale=5.0, size=2 * int(rng.integers(1, 20)) + 1)
+        est = weiszfeld_median(x)
+        assert (est.point[0], est.iterations, est.converged) == (np.median(x), 1, True)
+    # the coordinate-wise median of a cross is its centre, where the unit vectors cancel
+    cross = np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 0.0], [0.0, 3.0], [0.0, -1.0]])
+    est = weiszfeld_median(cross)
+    assert est.point.tobytes() == np.zeros(2).tobytes()
+    assert (est.iterations, est.converged) == (1, True)
+
+
+def test_weiszfeld_leaves_a_data_point_that_is_not_the_median():
+    cases = [(np.array([[0.174, 0.1], [1.828, -0.026], [1.554, -0.557]]), 1)]
+    rng = np.random.default_rng(12)
+    while len(cases) < 60:
+        x = rng.normal(size=(int(rng.integers(3, 9)), int(rng.integers(1, 4))))
+        cases += [(x, i) for i in range(x.shape[0]) if _optimality(x, x[i])[1] > 1.0]
+    for x, i in cases:
+        est = weiszfeld_median(x, tol=1e-10, max_iter=5000, start=x[i])
+        best = _nelder_mead_optimum(x)
+        assert est.converged
+        assert est.objective <= best * (1.0 + 1e-6), (x, i)
+
+
+def test_weiszfeld_on_duplicated_points():
+    # eta copies of p and a fan of other points, whose unit vectors from p sum
+    # to a norm just below eta (p is the median) or just above it (it is not)
+    p = np.array([3.0, -1.0])
+    for eta, angles, median in ((2, (-60.0, 0.0, 62.0), True), (2, (-58.0, 0.0, 58.0), False),
+                                (3, (-30.0, 30.0, -53.0, 53.0), True),
+                                (3, (-30.0, 30.0, -48.0, 48.0), False)):
+        rad = np.radians(angles)
+        fan = np.column_stack([np.cos(rad), np.sin(rad)]) * np.arange(1.0, len(rad) + 1)[:, None]
+        x = np.vstack([np.tile(p, (eta, 1)), p + fan])
+        assert _optimality(x, p)[0] == eta
+        assert (_optimality(x, p)[1] <= eta) == median
+        est = weiszfeld_median(x, tol=1e-10, max_iter=5000, start=p)
+        assert est.converged
+        if median:
+            assert est.point.tobytes() == p.tobytes()
+            assert est.iterations == 1
+        else:
+            assert est.objective < l1_objective(x, p)
+            assert est.objective <= _nelder_mead_optimum(x) * (1.0 + 1e-6)
 
 
 def test_estimate_metadata_consistent():
@@ -66,7 +143,7 @@ def test_weiszfeld_descent_is_monotone():
         m = x.mean(axis=0) + rng.normal(scale=0.3, size=x.shape[1])
         prev = l1_objective(x, m)
         for _ in range(25):
-            m = _weiszfeld_step(x, m)
+            m = weiszfeld_median(x, tol=1e-12, max_iter=1, start=m).point
             cur = l1_objective(x, m)
             assert cur <= prev + 1e-12
             prev = cur
@@ -151,3 +228,25 @@ def test_asg_agrees_with_weiszfeld_gaussian():
 def test_asg_errors():
     with pytest.raises(ValueError):
         asg_median(np.empty((0, 2)))
+
+
+def test_medians_stay_near_the_bulk_under_half_contamination():
+    # breakdown point 1/2 for one median: floor((n-1)/2) rows at 1e12 cannot carry
+    # the estimate away. The exact median lies within 2 b r / (b - m) of the
+    # bulk's median (b bulk rows of radius r about it, m moved rows), a bound that
+    # grows as m nears n/2; for these small n it is also within the bulk's diameter
+    rng = np.random.default_rng(13)
+    for n, d in ((5, 1), (7, 2), (9, 2), (11, 1), (21, 3), (101, 2), (101, 5)):
+        x = rng.normal(size=(n, d))
+        m = (n - 1) // 2
+        bulk = x[m:].copy()
+        x[:m] = 1e12
+        centre = weiszfeld_median(bulk, tol=1e-10).point
+        radius = np.linalg.norm(bulk - centre, axis=1).max()
+        diameter = max(np.linalg.norm(bulk - row, axis=1).max() for row in bulk)
+        wsz = weiszfeld_median(x, tol=1e-10, max_iter=1000).point
+        b = n - m
+        assert np.linalg.norm(wsz - centre) <= 2 * b * radius / (b - m)
+        if n <= 21:
+            for est in (wsz, asg_median(x, seed=n).point):
+                assert np.linalg.norm(est - centre) <= diameter, (n, d)
