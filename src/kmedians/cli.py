@@ -52,31 +52,21 @@ _LAWS = {
 # dataset I/O
 
 
-def _read_header(f, path):
-    """(stripped header, reader over the data rows) of an open CSV file."""
-    reader = csv.reader(f)
-    try:
-        return [h.strip() for h in next(reader)], reader
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """(stripped header, float table) of a numeric CSV file.
 
-
-def load_csv(path: str):
-    """Read a points CSV: numeric columns plus optional label/contaminated.
-
-    Returns (points, labels or None, mask or None). The header row is
-    required; parse failures and non-finite fields report the offending
-    row number.
+    The header row is required; every data row must have as many fields as
+    the header, each numeric and finite. A failure names its row, the
+    header being row 1.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        header, reader = _read_header(f, path)
+        reader = csv.reader(f)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
         if all(_is_number(h) for h in header):
             raise ValueError(f"{path}: header row required (first row is numeric)")
-        label_col = header.index("label") if "label" in header else None
-        mask_col = header.index("contaminated") if "contaminated" in header else None
-        coord_cols = [i for i in range(len(header)) if i not in (label_col, mask_col)]
-        if not coord_cols:
-            raise ValueError(f"{path}: no coordinate columns")
         rows = []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -86,22 +76,39 @@ def load_csv(path: str):
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}: row {rownum}: non-numeric field") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     table = np.array(rows)
-    _check_finite(table, path)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite field")
+    return header, table
+
+
+def _is_number(s: str) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
+
+
+def load_csv(path: str):
+    """Read a points CSV: numeric columns plus optional label/contaminated.
+
+    Returns (points, labels or None, mask or None), from `_read_table`.
+    """
+    header, table = _read_table(path)
+    label_col = header.index("label") if "label" in header else None
+    mask_col = header.index("contaminated") if "contaminated" in header else None
+    coord_cols = [i for i in range(len(header)) if i not in (label_col, mask_col)]
+    if not coord_cols:
+        raise ValueError(f"{path}: no coordinate columns")
     # column selection yields a column-major copy; keep points row-major so that
     # reductions over them sum in the same order as for a parsed row list
     return (np.ascontiguousarray(table[:, coord_cols]),
             _integer_labels(table[:, label_col], path) if label_col is not None else None,
             table[:, mask_col] != 0.0 if mask_col is not None else None)
-
-
-def _check_finite(table: np.ndarray, path) -> None:
-    """Reject the first data row (the header is row 1) holding a nan or inf."""
-    finite = np.isfinite(table.reshape(table.shape[0], -1)).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite field")
 
 
 def _integer_labels(column: np.ndarray, path) -> np.ndarray:
@@ -117,35 +124,17 @@ def _integer_labels(column: np.ndarray, path) -> np.ndarray:
     return column.astype(int)
 
 
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
 def load_labels_csv(path: str) -> np.ndarray:
-    """Read a predicted-labels CSV: the 'label' column, or a single column."""
-    with open(path, newline="", encoding="utf-8") as f:
-        header, reader = _read_header(f, path)
-        if "label" in header:
-            idx = header.index("label")
-        elif len(header) == 1:
-            idx = 0
-        else:
-            raise ValueError(f"{path}: expected a 'label' column")
-        out = []
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                out.append(float(row[idx]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: row {rownum}: bad label") from None
-    if not out:
-        raise ValueError(f"{path}: no data rows")
-    column = np.array(out)
-    _check_finite(column, path)
-    return _integer_labels(column, path)
+    """Read a predicted-labels CSV, parsed as by `_read_table`: the 'label'
+    column, or the only column."""
+    header, table = _read_table(path)
+    if "label" in header:
+        idx = header.index("label")
+    elif len(header) == 1:
+        idx = 0
+    else:
+        raise ValueError(f"{path}: expected a 'label' column")
+    return _integer_labels(table[:, idx], path)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -425,7 +414,7 @@ def cmd_bench(args) -> int:
     ppc = args.points_per_cluster
     if ppc is None and args.scenario == "sphere10":
         ppc = 500 if args.full else 200
-    k_max = args.k_max or _SCENARIO_KMAX[args.scenario]
+    k_max = args.k_max if args.k_max is not None else _SCENARIO_KMAX[args.scenario]
     algorithms = [a.strip() for a in args.algorithm.split(",")]
     if "all" in algorithms:
         algorithms = list(ALGORITHMS)

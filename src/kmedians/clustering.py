@@ -9,7 +9,8 @@ Three K-medians variants share one L1 objective:
                   (averaged) center by a Robbins-Monro step
 
 plus `kmeans` (arithmetic-mean M-step, squared-L2 objective) used as the
-non-robust baseline in benchmarks.
+non-robust baseline in benchmarks. `run_clustering` is the one fit entry:
+it checks every parameter and runs any of the four.
 """
 
 from __future__ import annotations
@@ -93,18 +94,13 @@ def _nearest(x: np.ndarray, codebook):
     return labels, dist[np.arange(x.shape[0]), labels]
 
 
-def _check_caps(**caps: int) -> None:
-    """Refuse an iteration or restart cap below 1."""
+def _check_fit(k: int, n: int, **caps: int) -> None:
+    """Refuse a k outside 1..n and an iteration or restart cap below 1."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     for name, cap in caps.items():
         if cap < 1:
             raise ValueError(f"{name} must be >= 1, got {cap}")
-
-
-def _check_fit(k: int, n: int, **caps: int) -> None:
-    """Refuse a k outside 1..n and a cap below 1."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    _check_caps(**caps)
 
 
 def assign(points, codebook) -> np.ndarray:
@@ -162,7 +158,11 @@ def _assign_repaired(x: np.ndarray, centers: np.ndarray):
     """`_nearest` of x for centers, after re-seeding (in place) every center that
     receives no point at the farthest-out point; returns (centers, labels, dmin).
 
-    Guarantees k live centers whenever the data has k distinct points.
+    A re-seeded center can take the last points of another, so one call may
+    leave a center empty: x = [[0], [0], [1], [10]] with centers [[0], [5],
+    [100]] gives labels [0, 0, 0, 2]. What holds is at a Lloyd stop on
+    repeated labels: with at least k distinct points every center is live.
+    A stop at max_iter has no such guarantee.
     """
     labels, dmin = _nearest(x, centers)
     empty = np.flatnonzero(np.bincount(labels, minlength=centers.shape[0]) == 0)
@@ -274,27 +274,15 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     (the offline variant); backend 'asg' makes one averaged stochastic
     gradient pass over the cluster members, warm-started at the previous
     center (the semi-online variant). The best of n_start restarts by
-    empirical L1 distortion is returned.
+    empirical L1 distortion is returned. A fixed-algorithm call into
+    `run_clustering`, which checks every parameter.
     """
-    x = as_points(points)
-    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start,
-               median_max_iter=median_max_iter)
     if backend not in ("weiszfeld", "asg"):
         raise ValueError(f"unknown backend {backend!r}; expected 'weiszfeld' or 'asg'")
-    init = init or InitMethod()
-    cfg = cfg or AsgConfig()
-
-    def run_one(centers0, rng):
-        m_step = (_median_step(median_tol, median_max_iter) if backend == "weiszfeld"
-                  else _asg_step(cfg, rng))
-        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
-        return centers, labels, float(dmin.mean()), iterations
-
-    centers, labels, distortion, iterations, used = _best_of_restarts(
-        x, k, init, seed, n_start, run_one, stochastic_mstep=(backend == "asg"))
     algorithm = "offline" if backend == "weiszfeld" else "semi_online"
-    return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
-                            iterations=iterations, restarts_used=used, algorithm=algorithm)
+    return run_clustering(points, k, algorithm, seed, init=init, cfg=cfg, max_iter=max_iter,
+                          n_start=n_start, median_tol=median_tol,
+                          median_max_iter=median_max_iter)
 
 
 def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
@@ -304,7 +292,8 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     Each point is assigned to the nearest averaged center, which then
     takes a Robbins-Monro step of size c_gamma / (n_r + 1)**alpha toward
     the point; per-center counters start at 1 so the initial centers carry
-    one observation's weight in the averages. Costs O(k n d) arithmetic.
+    one observation's weight in the averages. The pass costs O(k n d)
+    arithmetic; the default Genie init costs O(n^2 d) before it.
     """
     x = as_points(points)
     n = x.shape[0]
@@ -330,39 +319,46 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
 
 def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: int = 100,
                     n_start: int = 5, seed: int = 0) -> ClusteringResult:
-    """Lloyd K-means (arithmetic-mean M-step, squared-L2 distortion)."""
-    x = as_points(points)
-    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start)
-    init = init or InitMethod()
-
-    def run_one(centers0, rng):
-        centers, labels, iterations, dmin = _lloyd_once(x, centers0, _mean_step, max_iter)
-        return centers, labels, float((dmin**2).mean()), iterations
-
-    centers, labels, distortion, iterations, used = _best_of_restarts(
-        x, k, init, seed, n_start, run_one, stochastic_mstep=False)
-    return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
-                            iterations=iterations, restarts_used=used, algorithm="kmeans")
+    """Lloyd K-means (arithmetic-mean M-step, squared-L2 distortion); a
+    fixed-algorithm call into `run_clustering`."""
+    return run_clustering(points, k, "kmeans", seed, init=init, max_iter=max_iter,
+                          n_start=n_start)
 
 
 def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
                    init: InitMethod | None = None, cfg: AsgConfig | None = None,
                    max_iter: int = 100, n_start: int | None = None,
                    median_tol: float = 1e-6, median_max_iter: int = 100) -> ClusteringResult:
-    """Dispatch to one of the four algorithms with shared defaults, checking
-    every parameter, also those the chosen algorithm does not read."""
+    """Fit one of the four algorithms: the one fit entry, which the named fits
+    call with their algorithm fixed.
+
+    Checks every parameter, also those the chosen algorithm does not read.
+    `online` is one `online_kmedians` pass; offline (Weiszfeld M-step),
+    semi_online (ASG M-step) and kmeans (mean M-step, squared-L2
+    distortion) return the best of n_start Lloyd restarts (default 5).
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    x = as_points(points)
     n_start = 5 if n_start is None else n_start
-    _check_caps(max_iter=max_iter, n_start=n_start, median_max_iter=median_max_iter)
+    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start,
+               median_max_iter=median_max_iter)
     if not median_tol > 0:
         raise ValueError(f"median_tol must be positive, got {median_tol}")
+    init = init or InitMethod()
+    cfg = cfg or AsgConfig()
     if algorithm == "online":
-        return online_kmedians(points, k, cfg=cfg, init=init, seed=seed)
-    if algorithm == "kmeans":
-        return kmeans_baseline(points, k, init=init, max_iter=max_iter,
-                               n_start=n_start, seed=seed)
-    backend = "weiszfeld" if algorithm == "offline" else "asg"
-    return lloyd_kmedians(points, k, backend=backend, init=init, max_iter=max_iter,
-                          n_start=n_start, seed=seed, cfg=cfg,
-                          median_tol=median_tol, median_max_iter=median_max_iter)
+        return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
+    fixed_step = {"offline": _median_step(median_tol, median_max_iter),
+                  "kmeans": _mean_step}.get(algorithm)
+
+    def run_one(centers0, rng):
+        m_step = _asg_step(cfg, rng) if fixed_step is None else fixed_step
+        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
+        dist = dmin**2 if algorithm == "kmeans" else dmin
+        return centers, labels, float(dist.mean()), iterations
+
+    centers, labels, distortion, iterations, used = _best_of_restarts(
+        x, k, init, seed, n_start, run_one, stochastic_mstep=fixed_step is None)
+    return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
+                            iterations=iterations, restarts_used=used, algorithm=algorithm)

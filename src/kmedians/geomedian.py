@@ -214,14 +214,13 @@ def _asg_stream(x, order, m, m_bar, count, c_gamma, alpha):
     return m, m_bar, count
 
 
-def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0, start=None,
-               reshuffle: bool = True) -> MedianEstimate:
+def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0,
+               start=None) -> MedianEstimate:
     """Geometric median by averaged stochastic gradient.
 
-    Streams through the data in a seed-determined shuffled order for
-    cfg.passes passes and returns the running average of the iterates.
-    With `reshuffle` the order is redrawn at every pass; otherwise the
-    first pass order is reused.
+    Streams through the data for cfg.passes passes, each in a fresh
+    seed-determined shuffled order, and returns the running average of the
+    iterates.
     """
     x = as_points(points)
     if cfg is None:
@@ -235,7 +234,7 @@ def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0, start=None,
     m_bar = m.copy()
     count = 1
     for p in range(cfg.passes):
-        if p > 0 and reshuffle:
+        if p > 0:
             order = rng.permutation(x.shape[0])
         m, m_bar, count = _asg_stream(x, order, m, m_bar, count, cfg.c_gamma, cfg.alpha)
     return MedianEstimate(point=m_bar, iterations=count - 1, converged=True,

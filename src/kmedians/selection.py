@@ -120,14 +120,11 @@ def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
 
 
 def distortion_curve(points, k_max: int, algorithm: str = "offline", seed: int = 0, *,
-                     k_min: int = 1, init: InitMethod | None = None,
-                     **params) -> DistortionCurve:
-    """Fit the chosen algorithm for k = k_min..k_max and record the distortions."""
+                     init: InitMethod | None = None, **params) -> DistortionCurve:
+    """Fit the chosen algorithm for k = 1..k_max and record the distortions."""
     x = as_points(points)
-    ks = _candidate_ks(1, k_max, x.shape[0])
-    if not 1 <= k_min <= k_max:
-        raise ValueError(f"k_min must satisfy 1 <= k_min <= k_max, got {k_min}")
-    return _sweep(x, ks[k_min - 1:], algorithm, (seed, _CURVE_STREAM), init, params)
+    return _sweep(x, _candidate_ks(1, k_max, x.shape[0]), algorithm, (seed, _CURVE_STREAM),
+                  init, params)
 
 
 def _ols_slope(xv: np.ndarray, yv: np.ndarray) -> float:

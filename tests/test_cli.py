@@ -112,7 +112,7 @@ def test_malformed_row_reports_line(tmp_path, capsys):
     # the predicted labels of evaluate are read with the same checks
     data.write_text("x0,label\n1.0,0\n2.0,1\n3.0,1\n")
     pred = tmp_path / "pred.csv"
-    for bad_label, problem in (("oops", "bad label"),
+    for bad_label, problem in (("oops", "non-numeric field"),
                                ("nan", "non-finite field"),
                                ("-inf", "non-finite field"),
                                ("1e20", "label out of range"),
@@ -142,6 +142,12 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
     bad.write_text("x0,x1\n1.0,oops\n")
     pred = tmp_path / "pred.csv"
     pred.write_text("label\n0\n")
+    four = tmp_path / "four.csv"
+    four.write_text("x0,label\n1.0,0\n2.0,0\n3.0,1\n4.0,1\n")
+    # a headerless label column, and rows ragged or non-numeric outside the label column
+    headerless, ragged = tmp_path / "headerless.csv", tmp_path / "ragged.csv"
+    headerless.write_text("1\n0\n0\n1\n1\n")
+    ragged.write_text("label,extra\n0,a\n0\n1,zz\n1,\n")
     for code, argv in (
             (2, ("cluster", "--input", data, "--k", 2, "--rho", 0.2)),
             (3, ("cluster", "--input", bad, "--k", 1)),
@@ -161,6 +167,9 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (2, ("bench", "--scenario", "s2", "--input", data)),
             (2, ("evaluate", "--input", data, "--labels", pred, "--rho", 0.1)),
             (3, ("evaluate", "--input", data, "--labels", pred)),
+            (3, ("evaluate", "--input", four, "--labels", headerless)),
+            (3, ("evaluate", "--input", four, "--labels", ragged)),
+            (3, ("bench", "--scenario", "s2", "--trials", 1, "--k-max", 0)),
             (2, ("simulate", "--scenario", "s2", "--points-per-cluster", 50)),
             (2, ("cluster", "--scenario", "s1", "--k", 2, "--points-per-cluster", 10)),
             (2, ("bench", "--scenario", "s3", "--points-per-cluster", 10, "--trials", 1,

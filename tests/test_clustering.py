@@ -20,7 +20,13 @@ from kmedians import (
 )
 from kmedians._genie import GenieHierarchy
 from kmedians._utils import _sq_dists, pairwise_distances
-from kmedians.clustering import _asg_step, _lloyd_once, _mean_step, _median_step
+from kmedians.clustering import (
+    _asg_step,
+    _assign_repaired,
+    _lloyd_once,
+    _mean_step,
+    _median_step,
+)
 from kmedians.geomedian import _asg_stream
 from kmedians.simulation import (
     ContaminationSpec,
@@ -476,8 +482,10 @@ def test_lloyd_validation():
         lloyd_kmedians(pts, 4)
     with pytest.raises(ValueError):
         lloyd_kmedians(pts, 2, backend="sgd")
-    with pytest.raises(ValueError, match="tol"):
-        lloyd_kmedians(pts, 2, median_tol=0.0)
+    # median_tol is checked for both backends, also for asg, which runs no Weiszfeld
+    for backend in ("weiszfeld", "asg"):
+        with pytest.raises(ValueError, match="median_tol must be positive"):
+            lloyd_kmedians(pts, 2, backend=backend, median_tol=0.0)
     for cap in (0, -4):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             lloyd_kmedians(pts, 2, max_iter=cap)
@@ -499,6 +507,36 @@ def test_lloyd_validation():
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="median_tol must be positive"):
                 run_clustering(x, 2, algorithm, median_tol=tol)
+
+
+@pytest.mark.parametrize("init", [InitMethod(), InitMethod(kind="plus_plus_l1")],
+                         ids=["genie", "plus_plus_l1"])
+def test_named_fits_equal_run_clustering(init):
+    # lloyd_kmedians and kmeans_baseline are fixed-algorithm calls into run_clustering
+    pts = np.random.default_rng(16).normal(size=(40, 2))
+    for fit, kwargs, algorithm in ((lloyd_kmedians, {"backend": "weiszfeld"}, "offline"),
+                                   (lloyd_kmedians, {"backend": "asg"}, "semi_online"),
+                                   (kmeans_baseline, {}, "kmeans")):
+        r = fit(pts, 3, init=init, n_start=3, seed=4, **kwargs)
+        ref = run_clustering(pts, 3, algorithm, seed=4, init=init, n_start=3)
+        assert r.centers.tobytes() == ref.centers.tobytes(), algorithm
+        assert np.array_equal(r.labels, ref.labels), algorithm
+        assert ((r.distortion, r.iterations, r.restarts_used, r.algorithm)
+                == (ref.distortion, ref.iterations, ref.restarts_used, algorithm))
+
+
+def test_lloyd_stop_leaves_every_center_live():
+    # one repair pass can empty a live center: re-seeding center 2 at the
+    # point 10 takes center 1's only point; Lloyd fills it again before it
+    # stops on repeated labels
+    x = np.array([[0.0], [0.0], [1.0], [10.0]])
+    c0 = np.array([[0.0], [5.0], [100.0]])
+    assert _assign_repaired(x, c0.copy())[1].tolist() == [0, 0, 0, 2]
+    init = InitMethod(kind="provided", provided_centers=c0)
+    for algorithm in ("offline", "semi_online", "kmeans"):
+        r = run_clustering(x, 3, algorithm, init=init)
+        assert r.iterations < 100, algorithm
+        assert np.bincount(r.labels, minlength=3).min() > 0, algorithm
 
 
 def test_lloyd_descent_offline():

@@ -81,3 +81,20 @@ def test_traced_selectors_fit_once_per_k(monkeypatch):
     assert counts["selection.silhouette_calls"] == 1
     assert counts["selection.silhouette_pairs"] == len(x) ** 2
     assert [getattr(owner, attr) for owner, attr in hooked] == originals
+
+
+def test_traced_fit_counts_every_algorithm():
+    # run_clustering reaches online_kmedians, _best_of_restarts and _lloyd_once
+    # through the module-level names the tracer patches
+    tracing = _load_tracing()
+    x = make_scenario("s2", seed=1).points[:300]
+    for algorithm in kmedians.ALGORITHMS:
+        with tracing.Tracer().job(kmedians, 0) as counts:
+            r = kmedians.run_clustering(x, 4, algorithm, n_start=2)
+        if algorithm == "online":
+            assert counts["clustering.online_updates"] == r.iterations > 0
+            assert counts["clustering.restarts"] == counts["clustering.lloyd_iterations"] == 0
+        else:
+            assert counts["clustering.online_updates"] == 0, algorithm
+            assert counts["clustering.lloyd_iterations"] >= r.iterations > 0, algorithm
+            assert counts["clustering.restarts"] == r.restarts_used > 0, algorithm
