@@ -55,9 +55,9 @@ _LAWS = {
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     """(stripped header, float table) of a numeric CSV file.
 
-    The header row is required; every data row must have as many fields as
-    the header, each numeric and finite. A failure names its row, the
-    header being row 1.
+    The header row is required and names each column once; every data row
+    must have as many fields as the header, each numeric and finite. A
+    failure names its row, the header being row 1.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -67,6 +67,9 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: empty file") from None
         if all(_is_number(h) for h in header):
             raise ValueError(f"{path}: header row required (first row is numeric)")
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: column {repeated!r} appears more than once in the header")
         rows = []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -524,7 +527,7 @@ def _add_algo(p: argparse.ArgumentParser, *, multi: bool = False):
 def _add_selection(p: argparse.ArgumentParser):
     p.add_argument("--k-max", type=int, default=None, help="largest candidate k")
     p.add_argument("--min-window", type=int, default=None,
-                   help="smallest slope-fit window, --method slope only "
+                   help="smallest slope-fit window, 2..k_max-1, --method slope only "
                         "(default max(3, 0.3*k_max))")
     p.add_argument("--gap-b", type=int, default=20,
                    help="reference sets for the gap statistic (default 20)")

@@ -3,8 +3,8 @@
 Three K-medians variants share one L1 objective:
 
 * offline      -- Lloyd iteration, per-cluster Weiszfeld median M-step
-* semi_online  -- Lloyd iteration, one averaged-stochastic-gradient pass
-                  per cluster as the M-step
+* semi_online  -- Lloyd iteration, one averaged-stochastic-gradient stream
+                  per cluster (cfg.passes passes) as the M-step
 * online       -- single sequential pass; each point updates its nearest
                   (averaged) center by a Robbins-Monro step
 
@@ -42,6 +42,7 @@ INIT_KINDS = ("robust_hierarchical", "plus_plus_l1", "provided")
 
 _INIT_STREAM = 101
 _RESTART_STREAM = 102
+_MEDIAN_MAX_ITER = 100   # Weiszfeld cap per cluster in the offline M-step
 
 
 @dataclass
@@ -193,21 +194,17 @@ def _median_step(tol, max_iter):
 
 
 def _asg_step(cfg, rng):
-    """Semi-online M-step: cfg.passes averaged stochastic gradient passes over
-    each cluster in turn, warm-started at its center."""
+    """Semi-online M-step: one averaged stochastic gradient stream over each
+    cluster in turn, warm-started at its center, of cfg.passes permutations
+    of its members drawn from rng."""
     def m_step(x, labels, centers):
         xs, bounds = _blocks(x, labels, centers.shape[0])
         out = centers.copy()
         for j in np.flatnonzero(np.diff(bounds)):
             members = xs[bounds[j]:bounds[j + 1]]
-            m = centers[j].copy()
-            m_bar = centers[j].copy()
-            count = 1
-            for _ in range(cfg.passes):
-                order = rng.permutation(members.shape[0])
-                m, m_bar, count = _asg_stream(members, order, m, m_bar, count,
-                                              cfg.c_gamma, cfg.alpha)
-            out[j] = m_bar
+            order = np.concatenate([rng.permutation(members.shape[0])
+                                    for _ in range(cfg.passes)])
+            out[j] = _asg_stream(members, order, centers[j], cfg.c_gamma, cfg.alpha)
         return out
     return m_step
 
@@ -265,24 +262,22 @@ def _best_of_restarts(x, k, init, seed, n_start, run_one, stochastic_mstep):
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
                    max_iter: int = 100, n_start: int = 5, seed: int = 0,
-                   cfg: AsgConfig | None = None, median_tol: float = 1e-6,
-                   median_max_iter: int = 100) -> ClusteringResult:
+                   cfg: AsgConfig | None = None, median_tol: float = 1e-6) -> ClusteringResult:
     """Lloyd-style K-medians: alternate nearest-center assignment with a
     per-cluster geometric-median estimate.
 
     backend 'weiszfeld' recomputes each center by Weiszfeld iteration
-    (the offline variant); backend 'asg' makes one averaged stochastic
-    gradient pass over the cluster members, warm-started at the previous
-    center (the semi-online variant). The best of n_start restarts by
-    empirical L1 distortion is returned. A fixed-algorithm call into
-    `run_clustering`, which checks every parameter.
+    (the offline variant); backend 'asg' runs one averaged stochastic
+    gradient stream of cfg.passes passes over the cluster members,
+    warm-started at the previous center (the semi-online variant). The
+    best of n_start restarts by empirical L1 distortion is returned. A
+    fixed-algorithm call into `run_clustering`, which checks every parameter.
     """
     if backend not in ("weiszfeld", "asg"):
         raise ValueError(f"unknown backend {backend!r}; expected 'weiszfeld' or 'asg'")
     algorithm = "offline" if backend == "weiszfeld" else "semi_online"
     return run_clustering(points, k, algorithm, seed, init=init, cfg=cfg, max_iter=max_iter,
-                          n_start=n_start, median_tol=median_tol,
-                          median_max_iter=median_max_iter)
+                          n_start=n_start, median_tol=median_tol)
 
 
 def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
@@ -304,7 +299,7 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
     m_bar = m.copy()
     counts = [1] * k
-    # order stream aligned with asg_median so that k=1 reduces to it exactly
+    # the order is drawn as asg_median draws it, so k=1 at one pass equals it
     order = np.random.default_rng(seed).permutation(n)
     for idx in order:
         xi = x[idx]
@@ -328,7 +323,7 @@ def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: in
 def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
                    init: InitMethod | None = None, cfg: AsgConfig | None = None,
                    max_iter: int = 100, n_start: int | None = None,
-                   median_tol: float = 1e-6, median_max_iter: int = 100) -> ClusteringResult:
+                   median_tol: float = 1e-6) -> ClusteringResult:
     """Fit one of the four algorithms: the one fit entry, which the named fits
     call with their algorithm fixed.
 
@@ -341,15 +336,14 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     x = as_points(points)
     n_start = 5 if n_start is None else n_start
-    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start,
-               median_max_iter=median_max_iter)
+    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start)
     if not median_tol > 0:
         raise ValueError(f"median_tol must be positive, got {median_tol}")
     init = init or InitMethod()
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    fixed_step = {"offline": _median_step(median_tol, median_max_iter),
+    fixed_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER),
                   "kmeans": _mean_step}.get(algorithm)
 
     def run_one(centers0, rng):

@@ -205,37 +205,29 @@ def _asg_update(xi, m, m_bar, count, c_gamma, alpha):
     return m, m_bar + (m - m_bar) / (count + 1)
 
 
-def _asg_stream(x, order, m, m_bar, count, c_gamma, alpha):
-    """`_asg_update` over one pass of indices, advancing `count` (the online
-    algorithm's per-center counter) once per index; returns (m, m_bar, count)."""
-    for idx in order:
+def _asg_stream(x, order, m, c_gamma, alpha):
+    """One averaged stochastic gradient stream: the average starts at m with
+    a count of 1, `_asg_update` runs over every index in `order` (all the
+    passes of a fit, concatenated), and the average is returned."""
+    m_bar = m.copy()
+    for count, idx in enumerate(order, start=1):
         m, m_bar = _asg_update(x[idx], m, m_bar, count, c_gamma, alpha)
-        count += 1
-    return m, m_bar, count
+    return m_bar
 
 
 def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0,
                start=None) -> MedianEstimate:
     """Geometric median by averaged stochastic gradient.
 
-    Streams through the data for cfg.passes passes, each in a fresh
-    seed-determined shuffled order, and returns the running average of the
-    iterates.
+    Runs cfg.passes passes as one stream, each pass a fresh permutation of
+    the data drawn from default_rng(seed) in turn, and returns the running
+    average of the iterates.
     """
     x = as_points(points)
-    if cfg is None:
-        cfg = AsgConfig()
+    cfg = cfg or AsgConfig()
     m = _start(x, start)
-
-    # The order stream must stay aligned with the online clustering
-    # algorithm at k=1: first permutation drawn directly from the seed.
     rng = np.random.default_rng(seed)
-    order = rng.permutation(x.shape[0])
-    m_bar = m.copy()
-    count = 1
-    for p in range(cfg.passes):
-        if p > 0:
-            order = rng.permutation(x.shape[0])
-        m, m_bar, count = _asg_stream(x, order, m, m_bar, count, cfg.c_gamma, cfg.alpha)
-    return MedianEstimate(point=m_bar, iterations=count - 1, converged=True,
+    order = np.concatenate([rng.permutation(x.shape[0]) for _ in range(cfg.passes)])
+    m_bar = _asg_stream(x, order, m, cfg.c_gamma, cfg.alpha)
+    return MedianEstimate(point=m_bar, iterations=len(order), converged=True,
                           objective=l1_objective(x, m_bar))

@@ -132,6 +132,17 @@ def _ols_slope(xv: np.ndarray, yv: np.ndarray) -> float:
     return float((xc * (yv - yv.mean())).sum() / (xc * xc).sum())
 
 
+def _first_window(min_window: int | None, n_entries: int, k_top: int) -> int:
+    """The smallest slope-fit window on n_entries points ending at k_top: min_window,
+    refused outside 2..n_entries-1, or max(3, floor(0.3 k_top)) clamped into it."""
+    if min_window is None:
+        return max(2, min(max(3, int(math.floor(0.3 * k_top))), n_entries - 1))
+    if not 2 <= min_window <= n_entries - 1:
+        raise ValueError(f"min_window must satisfy 2 <= min_window <= {n_entries - 1}, "
+                         f"got {min_window}")
+    return min_window
+
+
 def slope_select(curve: DistortionCurve, min_window: int | None = None) -> SelectionReport:
     """Select k by the slope-calibrated penalized criterion.
 
@@ -147,9 +158,7 @@ def slope_select(curve: DistortionCurve, min_window: int | None = None) -> Selec
     n_entries = ks.shape[0]
     if n_entries < 3:
         raise ValueError("slope selection needs at least 3 curve points")
-    if min_window is None:
-        min_window = max(3, int(math.floor(0.3 * int(ks[-1]))))
-    m_lo = max(2, min(min_window, n_entries - 1))
+    m_lo = _first_window(min_window, n_entries, int(ks[-1]))
 
     shape = np.sqrt(ks / curve.n)
     flags: list[str] = []
@@ -323,6 +332,7 @@ def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
                   **params):
     """Run a selector and return (report, fitted result at k_hat, curve or None)."""
     if method == "slope":
+        _first_window(min_window, k_max, k_max)   # refused before any fit
         curve = distortion_curve(points, k_max, algorithm, seed, init=init, **params)
         report = slope_select(curve, min_window)
     elif method == "gap":

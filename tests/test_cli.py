@@ -123,6 +123,18 @@ def test_malformed_row_reports_line(tmp_path, capsys):
         assert f"{pred}: row 3: {problem}" in capsys.readouterr().err
 
 
+def test_repeated_column_name_is_refused(tmp_path, capsys):
+    # a second `label` column would otherwise be fitted as a coordinate
+    data = tmp_path / "repeated.csv"
+    data.write_text("x0,label,label\n1.0,0,0\n2.0,0,0\n9.0,1,1\n10.0,1,1\n")
+    assert run_cli("cluster", "--input", data, "--k", 2, "--out", tmp_path / "o") == 3
+    assert "column 'label' appears more than once" in capsys.readouterr().err
+    # names are compared after stripping, as the columns are read
+    data.write_text("x0, x0\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="column 'x0' appears more than once"):
+        load_csv(str(data))
+
+
 def test_scenario_flags_rejected_with_input(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_blobs_csv(data)
@@ -148,6 +160,9 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
     headerless, ragged = tmp_path / "headerless.csv", tmp_path / "ragged.csv"
     headerless.write_text("1\n0\n0\n1\n1\n")
     ragged.write_text("label,extra\n0,a\n0\n1,zz\n1,\n")
+    # a repeated column name, whose second `label` column would be read as a coordinate
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("x0,label,label\n1.0,0,0\n2.0,0,0\n3.0,1,1\n4.0,1,1\n")
     for code, argv in (
             (2, ("cluster", "--input", data, "--k", 2, "--rho", 0.2)),
             (3, ("cluster", "--input", bad, "--k", 1)),
@@ -186,7 +201,12 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (2, ("bench", "--scenario", "s2", "--method", "gap", "--min-window", 3,
                  "--trials", 1, "--k-max", 3)),
             (2, ("bench", "--scenario", "s2", "--method", "silhouette", "--min-window", 3,
-                 "--trials", 1, "--k-max", 3))):
+                 "--trials", 1, "--k-max", 3)),
+            (3, ("cluster", "--input", repeated, "--k", 2)),
+            *((3, ("select", "--scenario", "s2", "--k-max", 6, "--min-window", w))
+              for w in (-5, 0, 1, 6, 99)),
+            (3, ("bench", "--scenario", "s2", "--trials", 1, "--k-max", 4,
+                 "--min-window", 4))):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", out) == code, argv
         assert not out.exists(), argv

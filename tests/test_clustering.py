@@ -27,7 +27,6 @@ from kmedians.clustering import (
     _mean_step,
     _median_step,
 )
-from kmedians.geomedian import _asg_stream
 from kmedians.simulation import (
     ContaminationSpec,
     MixtureSpec,
@@ -376,14 +375,18 @@ def _reference_weiszfeld(x, m, tol, max_iter, coincident=None):
 
 
 def _reference_asg_step(cfg, rng):
+    """Scalar averaged stochastic gradient from the center, point by point over
+    cfg.passes permutations of the members; t counts the center as one point."""
     def m_step(members, center):
-        m = center.copy()
-        m_bar = center.copy()
-        count = 1
+        m, m_bar, t = center.copy(), center.copy(), 1
         for _ in range(cfg.passes):
-            order = rng.permutation(members.shape[0])
-            m, m_bar, count = _asg_stream(members, order, m, m_bar, count,
-                                          cfg.c_gamma, cfg.alpha)
+            for i in rng.permutation(members.shape[0]):
+                diff = members[i] - m
+                nrm = np.linalg.norm(diff)
+                if nrm > 0:
+                    m = m + (cfg.c_gamma / (t + 1) ** cfg.alpha / nrm) * diff
+                t += 1
+                m_bar = m_bar + (m - m_bar) / t
         return m_bar
     return m_step
 
@@ -489,8 +492,6 @@ def test_lloyd_validation():
     for cap in (0, -4):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             lloyd_kmedians(pts, 2, max_iter=cap)
-        with pytest.raises(ValueError, match="median_max_iter must be >= 1"):
-            lloyd_kmedians(pts, 2, median_max_iter=cap)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             kmeans_baseline(pts, 2, max_iter=cap)
         # a restart count below 1 is refused, not clamped, even where the
@@ -501,7 +502,7 @@ def test_lloyd_validation():
     # run_clustering checks every parameter, also those the algorithm ignores
     x = np.arange(12.0).reshape(6, 2)
     for algorithm in ALGORITHMS:
-        for name in ("max_iter", "n_start", "median_max_iter"):
+        for name in ("max_iter", "n_start"):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 run_clustering(x, 2, algorithm, **{name: 0})
         for tol in (0.0, -1.0, float("nan")):

@@ -455,6 +455,24 @@ def _recording_fits(monkeypatch):
     return fits
 
 
+def test_slope_refuses_min_window_out_of_range_before_fitting(monkeypatch):
+    # an explicit min_window must leave a window of 2..k_max-1 points; only the
+    # default max(3, floor(0.3 k_max)) is clamped (to 2 at k_max = 3)
+    fits = _recording_fits(monkeypatch)
+    pts = np.arange(40.0).reshape(20, 2)
+    for bad in (-5, 0, 1, 6, 99):
+        with pytest.raises(ValueError, match=r"min_window must satisfy 2 <= min_window <= 5"):
+            run_selection(pts, "slope", 6, seed=0, min_window=bad)
+        with pytest.raises(ValueError, match="min_window must satisfy"):
+            slope_select(make_curve(np.linspace(1.0, 0.5, 6)), min_window=bad)
+    assert fits == []
+    rep = slope_select(make_curve(np.array([1.0, 0.6, 0.5])))
+    assert rep.window_table[0][0] == rep.chosen_window == 2
+    for good in (2, 5):
+        rep = slope_select(make_curve(np.linspace(1.0, 0.5, 6)), min_window=good)
+        assert [m for m, _, _ in rep.window_table] == list(range(good, 6))
+
+
 def test_silhouette_refuses_k_max_above_n_before_fitting(monkeypatch):
     fits = _recording_fits(monkeypatch)
     pts = np.arange(12.0).reshape(6, 2)

@@ -98,3 +98,16 @@ def test_traced_fit_counts_every_algorithm():
             assert counts["clustering.online_updates"] == 0, algorithm
             assert counts["clustering.lloyd_iterations"] >= r.iterations > 0, algorithm
             assert counts["clustering.restarts"] == r.restarts_used > 0, algorithm
+
+
+def test_traced_semi_online_counts_every_asg_update():
+    # the tracer counts len(order) from `_asg_stream`'s positions 0 and 1: every
+    # Lloyd iteration streams each point once per pass
+    tracing = _load_tracing()
+    x = make_scenario("s2", seed=1).points[:300]
+    for passes in (1, 2):
+        with tracing.Tracer().job(kmedians, 0) as counts:
+            kmedians.run_clustering(x, 4, "semi_online", n_start=2, max_iter=5,
+                                    cfg=kmedians.AsgConfig(passes=passes))
+        iterations = counts["clustering.lloyd_iterations"]
+        assert counts["geomedian.asg_updates"] == passes * len(x) * iterations > 0
