@@ -95,13 +95,23 @@ def _nearest(x: np.ndarray, codebook):
     return labels, dist[np.arange(x.shape[0]), labels]
 
 
-def _check_fit(k: int, n: int, **caps: int) -> None:
-    """Refuse a k outside 1..n and an iteration or restart cap below 1."""
+def _check_fit(k: int, n: int) -> None:
+    """Refuse a k outside 1..n."""
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    for name, cap in caps.items():
+
+
+def _check_options(algorithm: str, cfg=None, max_iter=100, n_start=5, median_tol=1e-6) -> None:
+    """Refuse an unknown algorithm, a cap below 1 and a median_tol that is not positive.
+    Takes `run_clustering`'s options (cfg, an AsgConfig, checks itself) as keywords, so
+    a sweep refuses them before it fits."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    for name, cap in (("max_iter", max_iter), ("n_start", n_start)):
         if cap < 1:
             raise ValueError(f"{name} must be >= 1, got {cap}")
+    if not median_tol > 0:
+        raise ValueError(f"median_tol must be positive, got {median_tol}")
 
 
 def assign(points, codebook) -> np.ndarray:
@@ -187,8 +197,7 @@ def _blocks(x, labels, k):
 def _median_step(tol, max_iter):
     """Offline M-step: the Weiszfeld median of every cluster from its center,
     one `_weiszfeld_blocks` batch over all clusters."""
-    def m_step(x, labels, centers):
-        xs, bounds = _blocks(x, labels, centers.shape[0])
+    def m_step(xs, bounds, centers):
         return _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)[0]
     return m_step
 
@@ -197,8 +206,7 @@ def _asg_step(cfg, rng):
     """Semi-online M-step: one averaged stochastic gradient stream over each
     cluster in turn, warm-started at its center, of cfg.passes permutations
     of its members drawn from rng."""
-    def m_step(x, labels, centers):
-        xs, bounds = _blocks(x, labels, centers.shape[0])
+    def m_step(xs, bounds, centers):
         out = centers.copy()
         for j in np.flatnonzero(np.diff(bounds)):
             members = xs[bounds[j]:bounds[j + 1]]
@@ -209,9 +217,8 @@ def _asg_step(cfg, rng):
     return m_step
 
 
-def _mean_step(x, labels, centers):
+def _mean_step(xs, bounds, centers):
     """K-means M-step: the mean of every cluster."""
-    xs, bounds = _blocks(x, labels, centers.shape[0])
     out = centers.copy()
     for j in np.flatnonzero(np.diff(bounds)):
         out[j] = xs[bounds[j]:bounds[j + 1]].mean(axis=0)
@@ -221,43 +228,47 @@ def _mean_step(x, labels, centers):
 def _lloyd_once(x, centers, m_step, max_iter):
     """Alternate assignment and M-step until the labels stop changing.
 
-    m_step(x, labels, centers) returns the next codebook; a cluster without
-    points keeps its center. Returns (centers, labels, iterations, dmin),
-    dmin being every point's distance to its center.
+    Each iteration sorts the rows by label once and calls m_step(xs, bounds,
+    centers) for the next codebook (see `_blocks`); a cluster without points
+    keeps its center. Returns (centers, labels, iterations, dmin), dmin being
+    every point's distance to its center.
     """
     centers, labels, dmin = _assign_repaired(x, centers.copy())
     iterations = 0
     while iterations < max_iter:
         iterations += 1
         previous = labels
-        centers, labels, dmin = _assign_repaired(x, m_step(x, labels, centers))
+        xs, bounds = _blocks(x, labels, centers.shape[0])
+        centers, labels, dmin = _assign_repaired(x, m_step(xs, bounds, centers))
         if np.array_equal(labels, previous):
             break
     return centers, labels, iterations, dmin
 
 
-def _best_of_restarts(x, k, init, seed, n_start, run_one, stochastic_mstep):
-    """Shared restart driver for the Lloyd-style algorithms.
+def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol):
+    """The restart loop of offline, semi_online and kmeans on the validated points x.
 
-    Restarts only help when something varies between them; with a
-    deterministic init and a deterministic M-step every restart repeats
-    the first one, so a single run is performed.
+    Restart r draws its init (plus_plus_l1), then its M-step's permutations
+    (semi_online), from the stream (seed, _RESTART_STREAM, r). With neither,
+    one restart is run from the init of (seed, _INIT_STREAM). The first restart
+    with the lowest mean distance to the nearest center (squared for kmeans) is
+    kept. Returns (centers, labels, distortion, iterations, restarts run).
     """
-    deterministic = init.kind != "plus_plus_l1" and not stochastic_mstep
-    n_start = 1 if deterministic else n_start
     fixed_init = None
     if init.kind != "plus_plus_l1":
         fixed_init = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
-
+        n_start = n_start if algorithm == "semi_online" else 1
     best = None
     for r in range(n_start):
         rng = spawn_rng(seed, _RESTART_STREAM, r)
-        centers0 = fixed_init if fixed_init is not None else _init_codebook(x, k, init, rng)
-        out = run_one(centers0, rng)
-        if best is None or out[2] < best[2]:
-            best = out
-    centers, labels, distortion, iterations = best
-    return centers, labels, distortion, iterations, n_start
+        centers0 = _init_codebook(x, k, init, rng) if fixed_init is None else fixed_init
+        m_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER), "kmeans": _mean_step,
+                  "semi_online": _asg_step(cfg, rng)}[algorithm]
+        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
+        distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
+        if best is None or distortion < best[2]:
+            best = centers, labels, distortion, iterations
+    return (*best, n_start)
 
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
@@ -322,37 +333,24 @@ def kmeans_baseline(points, k: int, init: InitMethod | None = None, max_iter: in
 
 def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
                    init: InitMethod | None = None, cfg: AsgConfig | None = None,
-                   max_iter: int = 100, n_start: int | None = None,
+                   max_iter: int = 100, n_start: int = 5,
                    median_tol: float = 1e-6) -> ClusteringResult:
     """Fit one of the four algorithms: the one fit entry, which the named fits
     call with their algorithm fixed.
 
-    Checks every parameter, also those the chosen algorithm does not read.
-    `online` is one `online_kmedians` pass; offline (Weiszfeld M-step),
-    semi_online (ASG M-step) and kmeans (mean M-step, squared-L2
-    distortion) return the best of n_start Lloyd restarts (default 5).
+    Checks every parameter, also those the chosen algorithm does not read,
+    then runs `online` as one `online_kmedians` pass and offline (Weiszfeld
+    M-step), semi_online (ASG M-step) and kmeans (mean M-step, squared-L2
+    distortion) as one `_best_of_restarts` loop of up to n_start restarts.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _check_options(algorithm, max_iter=max_iter, n_start=n_start, median_tol=median_tol)
     x = as_points(points)
-    n_start = 5 if n_start is None else n_start
-    _check_fit(k, x.shape[0], max_iter=max_iter, n_start=n_start)
-    if not median_tol > 0:
-        raise ValueError(f"median_tol must be positive, got {median_tol}")
+    _check_fit(k, x.shape[0])
     init = init or InitMethod()
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    fixed_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER),
-                  "kmeans": _mean_step}.get(algorithm)
-
-    def run_one(centers0, rng):
-        m_step = _asg_step(cfg, rng) if fixed_step is None else fixed_step
-        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
-        dist = dmin**2 if algorithm == "kmeans" else dmin
-        return centers, labels, float(dist.mean()), iterations
-
     centers, labels, distortion, iterations, used = _best_of_restarts(
-        x, k, init, seed, n_start, run_one, stochastic_mstep=fixed_step is None)
+        x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol)
     return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
                             iterations=iterations, restarts_used=used, algorithm=algorithm)

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from ._genie import GenieHierarchy
 from ._utils import as_points, derive_seed, spawn_rng
-from .clustering import ClusteringResult, InitMethod, run_clustering
+from .clustering import ClusteringResult, InitMethod, _check_options, run_clustering
 
 __all__ = [
     "DistortionCurve",
@@ -63,6 +63,10 @@ class DistortionCurve:
             raise ValueError("distortions must be nonnegative")
 
     def result_at(self, k: int) -> ClusteringResult:
+        """The fitted result at k, refusing a k that is not in ks."""
+        if k not in self.ks.tolist():
+            span = f"{self.ks[0]}..{self.ks[-1]}" if self.ks.size else "empty"
+            raise ValueError(f"k={k} is outside the curve's ks ({span})")
         return self.results[int(k) - int(self.ks[0])]
 
 
@@ -102,8 +106,9 @@ def _candidate_ks(k_min: int, k_max: int, n: int) -> np.ndarray:
 
 
 def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
-    """Fit the algorithm to the validated points x at every k in ks, building
-    the hierarchy init only once; fit k runs on the stream seed_key + (k,)."""
+    """Check the fit options, then fit the algorithm to the validated points x at
+    every k in ks, building the hierarchy init once; fit k runs on seed_key + (k,)."""
+    _check_options(algorithm, **params)
     init = init or InitMethod()
     tree = None
     if init.kind == "robust_hierarchical":
@@ -134,7 +139,10 @@ def _ols_slope(xv: np.ndarray, yv: np.ndarray) -> float:
 
 def _first_window(min_window: int | None, n_entries: int, k_top: int) -> int:
     """The smallest slope-fit window on n_entries points ending at k_top: min_window,
-    refused outside 2..n_entries-1, or max(3, floor(0.3 k_top)) clamped into it."""
+    refused outside 2..n_entries-1, or max(3, floor(0.3 k_top)) clamped into it.
+    Fewer than 3 points leave no window and are refused."""
+    if n_entries < 3:
+        raise ValueError(f"slope selection needs at least 3 curve points, got {n_entries}")
     if min_window is None:
         return max(2, min(max(3, int(math.floor(0.3 * k_top))), n_entries - 1))
     if not 2 <= min_window <= n_entries - 1:
@@ -156,8 +164,6 @@ def slope_select(curve: DistortionCurve, min_window: int | None = None) -> Selec
     ks = curve.ks
     w = curve.distortions
     n_entries = ks.shape[0]
-    if n_entries < 3:
-        raise ValueError("slope selection needs at least 3 curve points")
     m_lo = _first_window(min_window, n_entries, int(ks[-1]))
 
     shape = np.sqrt(ks / curve.n)

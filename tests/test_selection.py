@@ -21,6 +21,7 @@ from kmedians import (
     slope_select,
     weiszfeld_median,
 )
+from kmedians._genie import GenieHierarchy
 
 
 def make_curve(w, n=100):
@@ -457,20 +458,53 @@ def _recording_fits(monkeypatch):
 
 def test_slope_refuses_min_window_out_of_range_before_fitting(monkeypatch):
     # an explicit min_window must leave a window of 2..k_max-1 points; only the
-    # default max(3, floor(0.3 k_max)) is clamped (to 2 at k_max = 3)
+    # default max(3, floor(0.3 k_max)) is clamped (to 2 at k_max = 3). These,
+    # fewer than 3 curve points and the fit options run_clustering refuses are
+    # all refused before any fit and before any Genie tree is built
     fits = _recording_fits(monkeypatch)
+    builds = []
+    build = GenieHierarchy.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[0].shape)
+        build(self, *args, **kwargs)
+    monkeypatch.setattr(GenieHierarchy, "__init__", counted)
     pts = np.arange(40.0).reshape(20, 2)
     for bad in (-5, 0, 1, 6, 99):
         with pytest.raises(ValueError, match=r"min_window must satisfy 2 <= min_window <= 5"):
             run_selection(pts, "slope", 6, seed=0, min_window=bad)
         with pytest.raises(ValueError, match="min_window must satisfy"):
             slope_select(make_curve(np.linspace(1.0, 0.5, 6)), min_window=bad)
-    assert fits == []
+    for k_max in (1, 2):
+        with pytest.raises(ValueError, match=f"at least 3 curve points, got {k_max}"):
+            run_selection(pts, "slope", k_max, seed=0)
+    for bad, message in (({"max_iter": 0}, "max_iter must be >= 1"),
+                         ({"n_start": 0}, "n_start must be >= 1"),
+                         ({"median_tol": 0.0}, "median_tol must be positive"),
+                         ({"algorithm": "nope"}, "unknown algorithm")):
+        for select in (lambda: run_selection(pts, "slope", 6, seed=0, **bad),
+                       lambda: run_selection(pts, "silhouette", 6, seed=0, **bad),
+                       lambda: distortion_curve(pts, 6, seed=0, **bad),
+                       lambda: gap_select(pts, 6, B=2, seed=0, **bad)):
+            with pytest.raises(ValueError, match=message):
+                select()
+    assert fits == [] and builds == []
+    distortion_curve(pts, 3, seed=0)
+    assert len(fits) == 3 and builds == [pts.shape]
     rep = slope_select(make_curve(np.array([1.0, 0.6, 0.5])))
     assert rep.window_table[0][0] == rep.chosen_window == 2
     for good in (2, 5):
         rep = slope_select(make_curve(np.linspace(1.0, 0.5, 6)), min_window=good)
         assert [m for m, _, _ in rep.window_table] == list(range(good, 6))
+
+
+def test_result_at_refuses_k_outside_the_curve():
+    pts = np.arange(40.0).reshape(20, 2)
+    curve = distortion_curve(pts, 4, "kmeans", seed=0)
+    assert all(curve.result_at(k) is r for k, r in zip(range(1, 5), curve.results))
+    for k in (0, -1, 5, 9, 2.5):
+        with pytest.raises(ValueError, match=rf"k={k} is outside the curve's ks \(1\.\.4\)"):
+            curve.result_at(k)
 
 
 def test_silhouette_refuses_k_max_above_n_before_fitting(monkeypatch):
