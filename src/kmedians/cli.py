@@ -259,6 +259,7 @@ def _clustering_block(result) -> dict:
         "distortion": result.distortion,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
+        "stop_reason": result.stop_reason,
     }
 
 

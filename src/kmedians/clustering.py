@@ -4,13 +4,22 @@ Three K-medians variants share one L1 objective:
 
 * offline      -- Lloyd iteration, per-cluster Weiszfeld median M-step
 * semi_online  -- Lloyd iteration, one averaged-stochastic-gradient stream
-                  per cluster (cfg.passes passes) as the M-step
+                  per cluster (cfg.passes passes) as the M-step; it also
+                  stops at a distortion plateau and keeps its best iterate
 * online       -- single sequential pass; each point updates its nearest
                   (averaged) center by a Robbins-Monro step
 
 plus `kmeans` (arithmetic-mean M-step, squared-L2 objective) used as the
 non-robust baseline in benchmarks. `run_clustering` is the one fit entry:
 it checks every parameter and runs any of the four.
+
+Lloyd stops when the labels repeat ("labels_repeat") or at max_iter ("cap").
+The ASG M-step is stochastic, so a few labels can flip at every iteration
+after the distortion has settled (the recursive scheme of Cardot, Cenac &
+Monnez, CSDA 2012, settles only in distribution); semi_online therefore
+also stops ("plateau") once _PLATEAU_ITERS iterations in a row fail to
+lower the best distortion seen by more than a relative _PLATEAU_RTOL, and
+returns that best iterate.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ INIT_KINDS = ("robust_hierarchical", "plus_plus_l1", "provided")
 _INIT_STREAM = 101
 _RESTART_STREAM = 102
 _MEDIAN_MAX_ITER = 100   # Weiszfeld cap per cluster in the offline M-step
+_PLATEAU_ITERS = 20      # semi_online: stale iterations before a plateau stop
+_PLATEAU_RTOL = 1e-4     # semi_online: relative drop of the best distortion that counts
 
 
 @dataclass
@@ -51,7 +62,10 @@ class ClusteringResult:
 
     `distortion` is the empirical L1 distortion for the K-medians variants
     and the mean squared distance for `kmeans`. `labels` always equals
-    `assign(points, centers)` for the returned centers.
+    `assign(points, centers)` for the returned centers. `stop_reason` says
+    why the kept restart's Lloyd loop ended: "labels_repeat", "plateau"
+    (semi_online only) or "cap" (max_iter reached; also online, whose one
+    pass has no convergence test).
     """
 
     centers: np.ndarray
@@ -60,6 +74,7 @@ class ClusteringResult:
     iterations: int
     restarts_used: int
     algorithm: str
+    stop_reason: str = "cap"
 
 
 @dataclass
@@ -173,7 +188,8 @@ def _assign_repaired(x: np.ndarray, centers: np.ndarray):
     leave a center empty: x = [[0], [0], [1], [10]] with centers [[0], [5],
     [100]] gives labels [0, 0, 0, 2]. What holds is at a Lloyd stop on
     repeated labels: with at least k distinct points every center is live.
-    A stop at max_iter has no such guarantee.
+    A stop at max_iter has no such guarantee, and neither has a semi_online
+    plateau stop, which returns the best iterate seen, not a repeat.
     """
     labels, dmin = _nearest(x, centers)
     empty = np.flatnonzero(np.bincount(labels, minlength=centers.shape[0]) == 0)
@@ -225,24 +241,41 @@ def _mean_step(xs, bounds, centers):
     return out
 
 
-def _lloyd_once(x, centers, m_step, max_iter):
+def _lloyd_once(x, centers, m_step, max_iter, plateau=False):
     """Alternate assignment and M-step until the labels stop changing.
 
     Each iteration sorts the rows by label once and calls m_step(xs, bounds,
     centers) for the next codebook (see `_blocks`); a cluster without points
-    keeps its center. Returns (centers, labels, iterations, dmin), dmin being
-    every point's distance to its center.
+    keeps its center. With `plateau` (the stochastic ASG M-step) the loop
+    also stops once _PLATEAU_ITERS iterations in a row fail to lower the best
+    mean distance seen by more than a relative _PLATEAU_RTOL, and whatever
+    the stop, the iterate with the lowest mean distance is returned (the
+    first on ties), its labels and distances from its own `_assign_repaired`.
+    Returns (centers, labels, iterations, dmin, stop_reason), dmin being
+    every point's distance to its center and iterations the M-steps run.
     """
     centers, labels, dmin = _assign_repaired(x, centers.copy())
-    iterations = 0
+    best, best_d, stale = (centers, labels, dmin), dmin.mean(), 0
+    iterations, stop = 0, "cap"
     while iterations < max_iter:
         iterations += 1
         previous = labels
         xs, bounds = _blocks(x, labels, centers.shape[0])
         centers, labels, dmin = _assign_repaired(x, m_step(xs, bounds, centers))
+        if plateau:
+            d = dmin.mean()
+            stale = 0 if d < best_d * (1.0 - _PLATEAU_RTOL) else stale + 1
+            if d < best_d:
+                best, best_d = (centers, labels, dmin), d
         if np.array_equal(labels, previous):
+            stop = "labels_repeat"
             break
-    return centers, labels, iterations, dmin
+        if stale >= _PLATEAU_ITERS:
+            stop = "plateau"
+            break
+    if plateau:
+        centers, labels, dmin = best
+    return centers, labels, iterations, dmin, stop
 
 
 def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol):
@@ -252,7 +285,9 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
     (semi_online), from the stream (seed, _RESTART_STREAM, r). With neither,
     one restart is run from the init of (seed, _INIT_STREAM). The first restart
     with the lowest mean distance to the nearest center (squared for kmeans) is
-    kept. Returns (centers, labels, distortion, iterations, restarts run).
+    kept; semi_online restarts also stop at a distortion plateau (see
+    `_lloyd_once`). Returns (centers, labels, distortion, iterations, restarts
+    run, stop reason of the kept restart).
     """
     fixed_init = None
     if init.kind != "plus_plus_l1":
@@ -264,11 +299,13 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
         centers0 = _init_codebook(x, k, init, rng) if fixed_init is None else fixed_init
         m_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER), "kmeans": _mean_step,
                   "semi_online": _asg_step(cfg, rng)}[algorithm]
-        centers, labels, iterations, dmin = _lloyd_once(x, centers0, m_step, max_iter)
+        centers, labels, iterations, dmin, stop = _lloyd_once(
+            x, centers0, m_step, max_iter, plateau=algorithm == "semi_online")
         distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
         if best is None or distortion < best[2]:
-            best = centers, labels, distortion, iterations
-    return (*best, n_start)
+            best = centers, labels, distortion, iterations, stop
+    centers, labels, distortion, iterations, stop = best
+    return centers, labels, distortion, iterations, n_start, stop
 
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
@@ -350,7 +387,8 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    centers, labels, distortion, iterations, used = _best_of_restarts(
+    centers, labels, distortion, iterations, used, stop = _best_of_restarts(
         x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol)
     return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
-                            iterations=iterations, restarts_used=used, algorithm=algorithm)
+                            iterations=iterations, restarts_used=used, algorithm=algorithm,
+                            stop_reason=stop)

@@ -45,7 +45,8 @@ _SIL_BLOCK = 512
 
 @dataclass
 class DistortionCurve:
-    """Best achieved distortion per candidate k, with the fitted results."""
+    """Best achieved distortion per candidate k, with the fitted results:
+    one per k, or none for a curve built from distortions alone."""
 
     n: int
     ks: np.ndarray
@@ -61,12 +62,18 @@ class DistortionCurve:
             raise ValueError("ks must be contiguous ascending integers")
         if (self.distortions < 0).any():
             raise ValueError("distortions must be nonnegative")
+        if len(self.results) not in (0, self.ks.size):
+            raise ValueError(f"results must be empty or hold one entry per k, got "
+                             f"{len(self.results)} results for {self.ks.size} ks")
 
     def result_at(self, k: int) -> ClusteringResult:
-        """The fitted result at k, refusing a k that is not in ks."""
+        """The fitted result at k, refusing a k that is not in ks and a curve
+        built without results."""
         if k not in self.ks.tolist():
             span = f"{self.ks[0]}..{self.ks[-1]}" if self.ks.size else "empty"
             raise ValueError(f"k={k} is outside the curve's ks ({span})")
+        if not self.results:
+            raise ValueError(f"k={k}: the curve was built without fitted results")
         return self.results[int(k) - int(self.ks[0])]
 
 

@@ -1,5 +1,7 @@
 """K-medians variants, K-means baseline, initialization, distortion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from kmedians import (
     run_clustering,
     weiszfeld_median,
 )
+from kmedians import clustering
 from kmedians._genie import GenieHierarchy
 from kmedians._utils import _sq_dists, pairwise_distances
 from kmedians.clustering import (
@@ -442,6 +445,129 @@ def test_lloyd_once_matches_reference(x, c0):
     cfg = AsgConfig(passes=2)
     _assert_same_fit(_lloyd_once(x, c0, _asg_step(cfg, np.random.default_rng(7)), 3),
                      _reference_lloyd(x, c0, _reference_asg_step(cfg, np.random.default_rng(7)), 3))
+
+
+def _reference_plateau_lloyd(x, centers, m_step, max_iter, p, rtol, seen):
+    """`_reference_lloyd` with the semi_online plateau stop: after p iterations in
+    a row that do not lower the best mean distance by more than rtol of it, stop;
+    return the first iterate with the lowest mean distance. Appends every
+    iterate's (centers, labels) to `seen`."""
+    def assigned(c):
+        c, labels = _reference_repair_empty(x, c, np.argmin(pairwise_distances(x, c), axis=1))
+        seen.append((c.copy(), labels))
+        return c, labels, pairwise_distances(x, c).min(axis=1)
+
+    centers, labels, dmin = assigned(centers.copy())
+    best, stale, stop, iterations = (centers.copy(), labels, dmin), 0, "cap", 0
+    for _ in range(max_iter):
+        iterations += 1
+        for j in range(centers.shape[0]):
+            mask = labels == j
+            if mask.any():
+                centers[j] = m_step(x[mask], centers[j])
+        centers, new_labels, dmin = assigned(centers)
+        repeat = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if dmin.mean() < best[2].mean():
+            stale = stale + 1 if dmin.mean() >= best[2].mean() * (1 - rtol) else 0
+            best = centers.copy(), labels, dmin
+        else:
+            stale += 1
+        if repeat:
+            stop = "labels_repeat"
+            break
+        if stale >= p:
+            stop = "plateau"
+            break
+    return (*best[:2], iterations, best[2], stop)
+
+
+@pytest.mark.parametrize("x,c0", [pytest.param(x, c, id=name) for name, x, c in _lloyd_cases()])
+def test_plateau_lloyd_matches_reference(x, c0, monkeypatch):
+    # the semi_online loop, iterate for iterate, at the shipped constants and at
+    # a looser pair that stops sooner
+    for p, rtol in ((clustering._PLATEAU_ITERS, clustering._PLATEAU_RTOL), (2, 1e-2)):
+        monkeypatch.setattr(clustering, "_PLATEAU_ITERS", p)
+        monkeypatch.setattr(clustering, "_PLATEAU_RTOL", rtol)
+        got_seen, ref_seen = [], []
+        assign_repaired = clustering._assign_repaired
+
+        def recorded(x, centers):
+            out = assign_repaired(x, centers)
+            got_seen.append((out[0].copy(), out[1]))
+            return out
+        monkeypatch.setattr(clustering, "_assign_repaired", recorded)
+        cfg = AsgConfig()
+        got = _lloyd_once(x, c0, _asg_step(cfg, np.random.default_rng(7)), 100, plateau=True)
+        monkeypatch.setattr(clustering, "_assign_repaired", assign_repaired)
+        ref = _reference_plateau_lloyd(x, c0, _reference_asg_step(cfg, np.random.default_rng(7)),
+                                       100, p, rtol, ref_seen)
+        _assert_same_fit(got, ref)
+        assert got[4] == ref[4], (p, rtol)
+        assert len(got_seen) == len(ref_seen) == got[2] + 1
+        for (gc, gl), (rc, rl) in zip(got_seen, ref_seen):
+            assert gc.tobytes() == rc.tobytes() and np.array_equal(gl, rl)
+
+
+def test_plateau_stop_returns_the_best_iterate(monkeypatch):
+    # the stop comes after p stale iterations, so the last iterate is rarely the
+    # best; the returned one is, with its own assignment
+    x = make_scenario("s2", seed=1).points
+    iterates = []
+    assign_repaired = clustering._assign_repaired
+
+    def recorded(x, centers):
+        out = assign_repaired(x, centers)
+        iterates.append((out[0].copy(), out[2].mean()))
+        return out
+    monkeypatch.setattr(clustering, "_assign_repaired", recorded)
+    centers, labels, iterations, dmin, stop = _lloyd_once(
+        x, init_centers(x, 4), _asg_step(AsgConfig(), np.random.default_rng(3)), 100,
+        plateau=True)
+    assert stop == "plateau" and len(iterates) == iterations + 1
+    means = [d for _, d in iterates]
+    first_best = means.index(min(means))
+    assert first_best < iterations      # the stop did not land on the best
+    assert dmin.mean() == min(means)
+    assert centers.tobytes() == iterates[first_best][0].tobytes()
+    assert np.array_equal(labels, assign(x, centers))
+    assert dmin.tobytes() == pairwise_distances(x, centers).min(axis=1).tobytes()
+
+
+def test_semi_online_stops_before_the_cap():
+    x = make_scenario("s2", seed=1).points
+    r = run_clustering(x, 4, "semi_online", seed=1, n_start=1)
+    assert r.stop_reason in ("plateau", "labels_repeat")
+    assert r.iterations < 100
+
+
+# Offline and kmeans fits, pinned from the commit before the semi_online plateau
+# stop: (sha256 of centers and int64 labels, first 16 hex digits; distortion as
+# float.hex; iterations; restarts). Their Lloyd loop stops on repeated labels only.
+_PINNED_FITS = {
+    ("s2", "offline", "robust_hierarchical", 5): ("543136474a3a4345", "0x1.8c50b55a74fc9p+0", 7, 1),
+    ("s2", "offline", "plus_plus_l1", 3): ("db4f6a7ae1019dd8", "0x1.8c50b55a7541ep+0", 11, 3),
+    ("s2", "kmeans", "robust_hierarchical", 5): ("76ef021fac481a70", "0x1.65ec965289687p+1", 4, 1),
+    ("s2", "kmeans", "plus_plus_l1", 3): ("44e871a9c6d12a2c", "0x1.65ec965289687p+1", 11, 3),
+    ("sphere10", "offline", "robust_hierarchical", 5): ("140d6330d8edd8ad", "0x1.4ab9f681989d4p+3", 3, 1),
+    ("sphere10", "offline", "plus_plus_l1", 3): ("c478d1c0754a88af", "0x1.50ff5240355dep+2", 4, 3),
+    ("sphere10", "kmeans", "robust_hierarchical", 5): ("e06b525b3eb13a58", "0x1.94256d03a6decp+6", 9, 1),
+    ("sphere10", "kmeans", "plus_plus_l1", 3): ("40493478fcac1941", "0x1.3f18f7275163cp+5", 5, 3),
+}
+
+
+def test_offline_and_kmeans_fits_are_pinned():
+    sphere = sample_mixture(MixtureSpec(sphere_centers(10, 10.0, 5, seed=1), 60), seed=2)
+    data = {"s2": (make_scenario("s2", seed=1).points, 4),
+            "sphere10": (contaminate(sphere, ContaminationSpec(rho=0.1, law="student", df=1),
+                                     seed=3).points, 10)}
+    for (name, algorithm, init, n_start), pinned in _PINNED_FITS.items():
+        x, k = data[name]
+        r = run_clustering(x, k, algorithm, seed=1, init=InitMethod(kind=init), n_start=n_start)
+        digest = hashlib.sha256(r.centers.tobytes() + r.labels.astype(np.int64).tobytes())
+        got = (digest.hexdigest()[:16], r.distortion.hex(), r.iterations, r.restarts_used)
+        assert got == pinned, (name, algorithm, init)
+        assert r.stop_reason == "labels_repeat"
 
 
 def test_lloyd_cases_reach_the_edge_paths():

@@ -185,6 +185,17 @@ def test_slope_six_cluster_mixture_majority():
     assert hits >= 2
 
 
+def test_semi_online_slope_selection_stops_every_fit_before_the_cap():
+    # semi_online restarts stop at their distortion plateau; with one restart
+    # per k the sweep runs in seconds, where k = 4..8 used to hit the cap
+    from kmedians import make_scenario
+
+    rep, result, curve = run_selection(make_scenario("s2", seed=1).points, "slope", 8,
+                                       "semi_online", seed=1, n_start=1)
+    assert rep.k_hat == 4 == result.centers.shape[0]
+    assert "cap" not in [r.stop_reason for r in curve.results]
+
+
 def test_pipeline_rigid_motion_invariance():
     rng = np.random.default_rng(4)
     pts = blobs(rng, [(-6.0, 0.0), (6.0, 0.0), (0.0, 9.0)], n_per=60)
@@ -505,6 +516,20 @@ def test_result_at_refuses_k_outside_the_curve():
     for k in (0, -1, 5, 9, 2.5):
         with pytest.raises(ValueError, match=rf"k={k} is outside the curve's ks \(1\.\.4\)"):
             curve.result_at(k)
+
+
+def test_curve_results_are_none_or_one_per_k():
+    fitted = distortion_curve(np.arange(40.0).reshape(20, 2), 3, "kmeans", seed=0)
+    for results in (fitted.results[:2], fitted.results + fitted.results[:1]):
+        with pytest.raises(ValueError, match=f"got {len(results)} results for 3 ks"):
+            DistortionCurve(n=20, ks=fitted.ks, distortions=fitted.distortions,
+                            results=results)
+    # a curve from distortions alone: k in ks is refused by name, not by IndexError
+    bare = DistortionCurve(n=10, ks=[1, 2, 3], distortions=[3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="k=2: the curve was built without fitted results"):
+        bare.result_at(2)
+    with pytest.raises(ValueError, match="k=4 is outside"):
+        bare.result_at(4)
 
 
 def test_silhouette_refuses_k_max_above_n_before_fitting(monkeypatch):
