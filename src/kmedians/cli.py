@@ -4,7 +4,8 @@ Subcommands: cluster (fixed k), select (choose k), simulate (write
 synthetic datasets), bench (repeated-trial summaries), evaluate (score a
 labeling against ground truth). Every run writes a JSON report whose
 `config` block, fed back through --config, reproduces the run exactly;
-all outputs are byte-deterministic given the seed.
+all outputs are byte-deterministic given the seed. `main` returns 2 for a
+refused flag or flag combination and 3 for bad input or a failed run.
 """
 
 from __future__ import annotations
@@ -170,9 +171,8 @@ def write_report(out_dir: Path, report: dict) -> Path:
 
 
 def _dataset_from_args(args):
-    """Resolve --input / --scenario into (points, labels, mask, truth centers or None)."""
-    if args.input and args.scenario:
-        raise ConfigError("--input and --scenario are mutually exclusive")
+    """Resolve --input or --scenario, whichever was given, into (points, labels,
+    mask, truth centers or None)."""
     if args.input:
         scenario_only = [flag for flag, given in (
             ("--rho", args.rho != 0.0), ("--law", args.law != "t1"),
@@ -181,8 +181,6 @@ def _dataset_from_args(args):
             raise ConfigError(f"{', '.join(scenario_only)} given with --input; "
                               "these flags only shape --scenario data")
         return (*load_csv(args.input), None)
-    if not args.scenario:
-        raise ConfigError("one of --input or --scenario is required")
     data, truth_centers = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                                          args.rho, args.law)
     return data.points, data.true_labels, data.contaminated, truth_centers
@@ -221,11 +219,6 @@ def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho
             contam_seed = derive_seed(seed, _CONTAM_STREAM)
         data = contaminate(data, spec, seed=contam_seed)
     return data, centers
-
-
-def _check_algorithm(name: str):
-    if name not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
 
 
 def _algo_params(args) -> dict:
@@ -301,15 +294,6 @@ def _echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _require_scenario(args) -> None:
-    """Refuse a scenario-only command given --input, or given no --scenario."""
-    if args.input:
-        raise ConfigError(f"{args.command} draws its data from --scenario; "
-                          "--input is not read")
-    if not args.scenario:
-        raise ConfigError(f"{args.command} requires --scenario")
-
-
 def _write_outputs(args, files: dict, **blocks) -> int:
     """Create --out and write a finished run into it: each `files` entry
     (name -> (file, header, rows)) as CSV, then report.json holding the
@@ -328,13 +312,12 @@ def _write_outputs(args, files: dict, **blocks) -> int:
 
 
 def _fit_and_report(args) -> int:
-    """Fit at --k or, with --k unset, select k by --method; write labels.csv, a
-    selection's curve/windows/projection CSVs, and report.json."""
-    _check_algorithm(args.algorithm)
+    """cluster fits at --k, select chooses k by --method; either writes labels.csv,
+    a selection's curve/windows/projection CSVs, and report.json."""
     points, true_labels, mask, truth_centers = _dataset_from_args(args)
     seed = derive_seed(args.seed, _RUN_STREAM)
     t0 = time.perf_counter()
-    if args.k is not None:
+    if args.command == "cluster":
         report_sel = None
         result = run_clustering(points, args.k, args.algorithm, seed=seed,
                                 **_algo_params(args))
@@ -370,12 +353,6 @@ def _fit_and_report(args) -> int:
                                      truth_centers))
 
 
-def cmd_cluster(args) -> int:
-    if args.k is None:
-        raise ConfigError("cluster requires --k")
-    return _fit_and_report(args)
-
-
 def _check_min_window(args) -> None:
     """Refuse --min-window under a method that has no slope-fit window."""
     if args.min_window is not None and args.method != "slope":
@@ -384,20 +361,10 @@ def _check_min_window(args) -> None:
 
 def cmd_select(args) -> int:
     _check_min_window(args)
-    if args.method == "none":
-        if args.k is None:
-            raise ConfigError("--method none requires --k")
-        if args.k_max is not None:
-            raise ConfigError("--k-max conflicts with --method none; use --k")
-    elif args.k is not None:
-        raise ConfigError("--k conflicts with a selection method; use --k-max")
-    elif args.k_max is None:
-        raise ConfigError("select requires --k-max")
     return _fit_and_report(args)
 
 
 def cmd_simulate(args) -> int:
-    _require_scenario(args)
     data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                              args.rho, args.law)
     rows = ([*row, int(lab), int(con)] for row, lab, con
@@ -410,7 +377,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _require_scenario(args)
     _check_min_window(args)
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
     if trials < 1:
@@ -422,9 +388,14 @@ def cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithm.split(",")]
     if "all" in algorithms:
         algorithms = list(ALGORITHMS)
-    for a in algorithms:
-        _check_algorithm(a)
-    rhos = [float(r) for r in str(args.rho).split(",")] if args.rho else [0.0]
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
+    try:
+        rhos = [float(r) for r in args.rho.split(",")] if args.rho else [0.0]
+    except ValueError:
+        raise ConfigError(f"--rho: {args.rho!r} is not a comma-separated list of "
+                          "numbers") from None
     for rho in rhos:
         _contamination(rho, args.law)
     params = _algo_params(args)
@@ -459,13 +430,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.input:
-        raise ConfigError("evaluate requires --input (dataset with a label column)")
-    if not args.labels:
-        raise ConfigError("evaluate requires --labels")
     if bool(args.true_centers) != bool(args.pred_centers):
         raise ConfigError("--true-centers and --pred-centers must be given together")
-    points, true_labels, mask, _ = _dataset_from_args(args)
+    points, true_labels, mask = load_csv(args.input)
     if true_labels is None:
         raise ValueError(f"{args.input}: no label column to evaluate against")
     pred = load_labels_csv(args.labels)
@@ -483,14 +450,34 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, rho_grid: bool = False):
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the class of its subparsers, that takes options spelled in
+    full only and raises ConfigError on a refusal, for which `main` returns 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _add_common(p: argparse.ArgumentParser, source: str, *, rho_grid: bool = False):
+    """--seed, --out, --verbose and the data flags of `source`: "input" (a required
+    points CSV), "scenario" (a required named scenario and the flags that shape
+    it) or "either" (exactly one of the two)."""
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    p.add_argument("--input", help="points CSV (header required; optional "
-                                   "label/contaminated columns)")
-    p.add_argument("--scenario", choices=["s1", "s2", "s3", "sphere10"],
-                   help="generate a named synthetic dataset instead of --input")
+    input_help = "points CSV (header required; optional label/contaminated columns)"
+    if source == "input":
+        p.add_argument("--input", required=True, help=input_help)
+        return
+    group = p
+    if source == "either":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--input", help=input_help)
+    group.add_argument("--scenario", choices=["s1", "s2", "s3", "sphere10"],
+                       required=source == "scenario", help="named synthetic dataset")
     p.add_argument("--points-per-cluster", type=int, default=None,
                    help="override cluster size for sphere10")
     if rho_grid:
@@ -504,9 +491,9 @@ def _add_common(p: argparse.ArgumentParser, *, rho_grid: bool = False):
 
 
 def _add_algo(p: argparse.ArgumentParser, *, multi: bool = False):
-    p.add_argument("--algorithm", default="offline",
+    p.add_argument("--algorithm", choices=None if multi else ALGORITHMS, default="offline",
                    help="comma-separated algorithms, or 'all' (default offline)" if multi
-                   else "offline | semi_online | online | kmeans (default offline)")
+                   else "fit algorithm (default offline)")
     p.add_argument("--init", choices=["robust_hierarchical", "plus_plus_l1"],
                    default="robust_hierarchical", help="center initialization")
     p.add_argument("--gini-threshold", type=float, default=0.3,
@@ -525,8 +512,11 @@ def _add_algo(p: argparse.ArgumentParser, *, multi: bool = False):
                    help="Weiszfeld displacement tolerance inside Lloyd (default 1e-6)")
 
 
-def _add_selection(p: argparse.ArgumentParser):
-    p.add_argument("--k-max", type=int, default=None, help="largest candidate k")
+def _add_selection(p: argparse.ArgumentParser, *, k_max_required: bool):
+    p.add_argument("--method", choices=["slope", "gap", "silhouette"],
+                   default="slope", help="selection method (default slope)")
+    p.add_argument("--k-max", type=int, required=k_max_required, default=None,
+                   help="largest candidate k")
     p.add_argument("--min-window", type=int, default=None,
                    help="smallest slope-fit window, 2..k_max-1, --method slope only "
                         "(default max(3, 0.3*k_max))")
@@ -537,38 +527,33 @@ def _add_selection(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI surface: each subcommand's parser holds exactly the flags it reads."""
+    parser = _Parser(
         prog="kmedians",
         description="Robust K-medians clustering with automatic selection of k.")
     parser.add_argument("--config", help="JSON report or config echo to re-run")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="cluster with a fixed number of clusters")
-    _add_common(p)
+    _add_common(p, "either")
     _add_algo(p)
-    p.add_argument("--k", type=int, required=False, help="number of clusters")
-    p.set_defaults(func=cmd_cluster)
+    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    p.set_defaults(func=_fit_and_report)
 
     p = sub.add_parser("select", help="choose the number of clusters")
-    _add_common(p)
+    _add_common(p, "either")
     _add_algo(p)
-    _add_selection(p)
-    p.add_argument("--method", choices=["slope", "gap", "silhouette", "none"],
-                   default="slope", help="selection method (default slope)")
-    p.add_argument("--k", type=int, default=None,
-                   help="fixed k (only with --method none)")
+    _add_selection(p, k_max_required=True)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset to CSV")
-    _add_common(p)
+    _add_common(p, "scenario")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="repeated-trial selection benchmark")
-    _add_common(p, rho_grid=True)
+    _add_common(p, "scenario", rho_grid=True)
     _add_algo(p, multi=True)
-    _add_selection(p)
-    p.add_argument("--method", choices=["slope", "gap", "silhouette"],
-                   default="slope", help="selection method (default slope)")
+    _add_selection(p, k_max_required=False)
     p.add_argument("--trials", type=int, default=None,
                    help="trials per configuration (default 20; 50 with --full)")
     p.add_argument("--full", action="store_true",
@@ -576,8 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("evaluate", help="score a labeling against ground truth")
-    _add_common(p)
-    p.add_argument("--labels", help="CSV with the predicted labels (one column)")
+    _add_common(p, "input")
+    p.add_argument("--labels", required=True,
+                   help="CSV with the predicted labels (one column)")
     p.add_argument("--true-centers", help="CSV of true centers (optional)")
     p.add_argument("--pred-centers", help="CSV of estimated centers (optional)")
     p.set_defaults(func=cmd_evaluate)

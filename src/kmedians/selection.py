@@ -60,6 +60,8 @@ class DistortionCurve:
             raise ValueError("ks and distortions must be 1-D arrays of equal length")
         if not np.all(np.diff(self.ks) == 1):
             raise ValueError("ks must be contiguous ascending integers")
+        if self.ks.size and not 1 <= self.ks[0] <= self.ks[-1] <= self.n:
+            raise ValueError(f"ks must lie in 1..n={self.n}, got {self.ks[0]}..{self.ks[-1]}")
         if (self.distortions < 0).any():
             raise ValueError("distortions must be nonnegative")
         if len(self.results) not in (0, self.ks.size):
@@ -173,7 +175,7 @@ def slope_select(curve: DistortionCurve, min_window: int | None = None) -> Selec
     n_entries = ks.shape[0]
     m_lo = _first_window(min_window, n_entries, int(ks[-1]))
 
-    shape = np.sqrt(ks / curve.n)
+    shape = np.array([penalty_shape(int(k), curve.n) for k in ks])
     flags: list[str] = []
     table: list[tuple[int, float, int]] = []
     for m in range(m_lo, n_entries):

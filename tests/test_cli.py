@@ -91,6 +91,20 @@ def test_cluster_rejects_unknown_algorithm(tmp_path):
                    "--out", tmp_path / "o") == 2
 
 
+def test_k_above_the_distinct_points_leaves_empty_clusters(tmp_path):
+    # 3 distinct points, 5 copies each: a fit at k=5 is not refused, and the two
+    # clusters left empty show as sizes of 0 in report.json
+    data = tmp_path / "dup.csv"
+    data.write_text("x0,x1\n" + "0.0,0.0\n5.0,0.0\n0.0,5.0\n" * 5)
+    for algorithm in ("offline", "online"):
+        out = tmp_path / algorithm
+        assert run_cli("cluster", "--input", data, "--k", 5, "--algorithm", algorithm,
+                       "--out", out) == 0
+        clustering = json.loads((out / "report.json").read_text())["clustering"]
+        assert sorted(clustering["cluster_sizes"]) == [0, 0, 5, 5, 5], algorithm
+        assert clustering["distortion"] == 0.0, algorithm
+
+
 def test_input_and_scenario_conflict(tmp_path):
     data = tmp_path / "data.csv"
     write_blobs_csv(data)
@@ -194,6 +208,25 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
                  "--k-max", 3)),
             (2, ("select", "--input", data, "--method", "none", "--k", 3, "--k-max", 5)),
             (2, ("select", "--input", data, "--method", "none", "--k", 3, "--min-window", 3)),
+            # refusals by the parsers: each returns 2 rather than exiting the process
+            (2, ("frob",)),
+            (2, ("cluster", "--input", data, "--k", "abc")),
+            (2, ("cluster", "--scenario", "bogus", "--k", 2)),
+            (2, ("cluster", "--input", data, "--k", 2, "--algorithm", "spectral")),
+            (2, ("bench", "--scenario", "s2", "--trials", 1, "--k-max", 3,
+                 "--algorithm", "online,nope")),
+            (2, ("cluster", "--input", data)),
+            (2, ("select", "--input", data)),
+            (2, ("evaluate", "--input", data)),
+            (2, ("cluster", "--k", 2)),
+            (2, ("cluster", "--input", data, "--scenario", "s2", "--k", 2)),
+            (2, ("select", "--input", data, "--k", 3)),
+            (2, ("select", "--input", data, "--k", 3, "--k-max", 5)),
+            (2, ("select", "--input", data, "--method", "none", "--k-max", 5)),
+            (2, ("bench", "--scenario", "s2", "--trials", 1, "--rho", "0,abc")),
+            # options must be spelled in full: no prefix stands for --k-max or --gini-threshold
+            (2, ("bench", "--scenario", "s2", "--trials", 1, "--k", 3)),
+            (2, ("cluster", "--input", data, "--k", 2, "--gini", 0.5)),
             (2, ("select", "--input", data, "--method", "gap", "--k-max", 5,
                  "--min-window", 3)),
             (2, ("select", "--input", data, "--method", "silhouette", "--k-max", 5,
@@ -213,9 +246,13 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
     empty, listed = tmp_path / "empty.json", tmp_path / "list.json"
     empty.write_text("{}")
     listed.write_text("[]")
+    # a report of the removed `select --method none --k` replays to a refusal
+    old_none = tmp_path / "none.json"
+    old_none.write_text(json.dumps({"command": "select", "config": {
+        "input": str(data), "method": "none", "k": 2, "k_max": None}}))
     # --out comes first here, so that it is not read as the --config path
     for code, config in ((2, ()), (3, (tmp_path / "missing.json",)), (3, (listed,)),
-                         (2, (empty,))):
+                         (2, (empty,)), (2, (old_none,))):
         out = tmp_path / "out"
         assert run_cli("--out", out, "--config", *config) == code, config
         assert not out.exists(), config
@@ -253,20 +290,6 @@ def test_header_required(tmp_path):
     data.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="header"):
         load_csv(str(data))
-
-
-def test_cluster_and_select_none_agree(tmp_path):
-    data = tmp_path / "data.csv"
-    write_blobs_csv(data)
-    reports = []
-    for name, argv in (("cl", ("cluster",)), ("se", ("select", "--method", "none"))):
-        assert run_cli(*argv, "--input", data, "--k", 2, "--seed", 3,
-                       "--out", tmp_path / name) == 0
-        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
-    assert (tmp_path / "cl" / "labels.csv").read_bytes() == \
-        (tmp_path / "se" / "labels.csv").read_bytes()
-    for block in ("clustering", "evaluation"):
-        assert reports[0][block] == reports[1][block]
 
 
 def test_cli_reaches_traced_entry_points(tmp_path, monkeypatch):
@@ -328,22 +351,6 @@ def test_select_gap_and_silhouette_write_curves(tmp_path):
         assert report["selection"]["method"] == method
         rows = list(csv.DictReader(open(out / "curve.csv")))
         assert [int(r["k"]) for r in rows] == report["selection"]["ks"]
-
-
-def test_select_method_none_clusters(tmp_path):
-    data = tmp_path / "data.csv"
-    write_blobs_csv(data)
-    out = tmp_path / "run"
-    assert run_cli("select", "--input", data, "--method", "none", "--k", 2,
-                   "--out", out) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["selection"] is None
-    assert report["clustering"]["k"] == 2
-    assert (out / "labels.csv").exists()
-    # the report echo re-runs through the select parser
-    out2 = tmp_path / "rerun"
-    assert run_cli("--config", out / "report.json", "--out", out2) == 0
-    assert json.loads((out2 / "report.json").read_text())["clustering"]["k"] == 2
 
 
 def test_select_flag_conflicts(tmp_path):

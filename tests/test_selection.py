@@ -77,6 +77,10 @@ def test_curve_validation():
         DistortionCurve(n=10, ks=np.array([1, 3]), distortions=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         DistortionCurve(n=10, ks=np.array([1, 2]), distortions=np.array([1.0, -0.5]))
+    # ks outside 1..n have no penalty sqrt(k/n) to select by
+    for ks in ([-1, 0, 1, 2], [8, 9, 10, 11]):
+        with pytest.raises(ValueError, match=r"ks must lie in 1\.\.n=10"):
+            DistortionCurve(n=10, ks=ks, distortions=[4.0, 3.0, 2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
