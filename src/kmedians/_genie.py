@@ -148,9 +148,7 @@ class GenieHierarchy:
         return merges
 
     def labels_at(self, k: int) -> np.ndarray:
-        """Partition into k clusters, labeled 0..k-1 in first-occurrence order."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k must be in [1, {self.n}], got {k}")
+        """Partition into k clusters (an int in 1..n), labeled 0..k-1 in first-occurrence order."""
         # climb the links made by the first n - k merges; union by size keeps
         # the forest O(log n) deep, so a few whole-array steps reach every root
         root = np.arange(self.n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -31,6 +33,25 @@ def as_codebook(centers, d: int | None = None) -> np.ndarray:
     if d is not None and c.shape[1] != d:
         raise ValueError(f"codebook dimension {c.shape[1]} does not match data dimension {d}")
     return c
+
+
+def as_count(name: str, value, lo: int, hi: int | None = None, hi_name: str = "") -> int:
+    """`value` as a Python int in lo..hi (no upper bound when hi is None), else a
+    ValueError that names the argument; a bool and anything `operator.index` rejects
+    (a float, even 2.0) are refused. `hi_name` names the upper bound in the message."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        v = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if hi is None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
+    if hi is not None and not lo <= v <= hi:
+        bound = f", {hi_name}={hi}" if hi_name else ""
+        raise ValueError(f"{name} must satisfy {lo} <= {name} <= {hi_name or hi}, "
+                         f"got {name}={v}{bound}")
+    return v
 
 
 def _sq_dists(cols: np.ndarray, p, lo: int = 0, d: int | None = None):
@@ -91,9 +112,9 @@ def spawn_rng(*keys: int) -> np.random.Generator:
 
     Every independent stream in the package (restart, trial, reference
     set, ...) is keyed as (master_seed, stream_tag, index...) so results
-    do not depend on evaluation order.
-    """
-    return np.random.default_rng([int(k) for k in keys])
+    do not depend on evaluation order. Keys are integers >= 0; one key draws
+    what `np.random.default_rng(key)` draws."""
+    return np.random.default_rng([as_count("seed", k, 0) for k in keys])
 
 
 def derive_seed(*keys: int) -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._utils import derive_seed
+from ._utils import as_count, derive_seed
 from .clustering import ALGORITHMS, AsgConfig, InitMethod, run_clustering
 from .evaluation import adjusted_rand_index, centroid_l1_error, summarize_trials
 from .selection import run_selection
@@ -39,6 +39,9 @@ _DATA_STREAM = 51
 _CONTAM_STREAM = 52
 _SPHERE_STREAM = 53
 _RUN_STREAM = 54
+_TRIAL_DATA_STREAM = 61
+_TRIAL_CONTAM_STREAM = 62
+_TRIAL_RUN_STREAM = 63
 
 _SCENARIO_KMAX = {"s1": 10, "s2": 15, "s3": 15, "sphere10": 20}
 
@@ -186,11 +189,6 @@ def _dataset_from_args(args):
     return data.points, data.true_labels, data.contaminated, truth_centers
 
 
-def _contamination(rho: float, law: str) -> ContaminationSpec:
-    """The contamination of a --rho / --law pair; raises ValueError unless 0 <= rho <= 0.5."""
-    return ContaminationSpec(rho=rho, **_LAWS[law])
-
-
 def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho: float,
                    law: str, contam_seed: int | None = None):
     """A named scenario drawn from `seed`, contaminated when rho > 0.
@@ -203,9 +201,8 @@ def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho
     if points_per_cluster is not None:
         if scenario != "sphere10":
             raise ConfigError(f"--points-per-cluster only sizes sphere10 data, not {scenario}")
-        if points_per_cluster < 1:
-            raise ValueError(f"--points-per-cluster must be >= 1, got {points_per_cluster}")
-    spec = _contamination(rho, law)
+        as_count("--points-per-cluster", points_per_cluster, 1)
+    spec = ContaminationSpec(rho=rho, **_LAWS[law])   # refuses rho outside [0, 0.5]
     data_seed = derive_seed(seed, _DATA_STREAM)
     if scenario == "sphere10":
         centers = sphere_centers(10, 10.0, 5, seed=derive_seed(seed, _SPHERE_STREAM))
@@ -314,6 +311,8 @@ def _write_outputs(args, files: dict, **blocks) -> int:
 def _fit_and_report(args) -> int:
     """cluster fits at --k, select chooses k by --method; either writes labels.csv,
     a selection's curve/windows/projection CSVs, and report.json."""
+    if args.command == "select":
+        _check_min_window(args)
     points, true_labels, mask, truth_centers = _dataset_from_args(args)
     seed = derive_seed(args.seed, _RUN_STREAM)
     t0 = time.perf_counter()
@@ -359,11 +358,6 @@ def _check_min_window(args) -> None:
         raise ConfigError(f"--min-window applies only to --method slope, not {args.method}")
 
 
-def cmd_select(args) -> int:
-    _check_min_window(args)
-    return _fit_and_report(args)
-
-
 def cmd_simulate(args) -> int:
     data, _ = _scenario_data(args.scenario, args.seed, args.points_per_cluster,
                              args.rho, args.law)
@@ -379,8 +373,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     _check_min_window(args)
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
+    as_count("--trials", trials, 1)
     ppc = args.points_per_cluster
     if ppc is None and args.scenario == "sphere10":
         ppc = 500 if args.full else 200
@@ -397,8 +390,9 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--rho: {args.rho!r} is not a comma-separated list of "
                           "numbers") from None
     for rho in rhos:
-        _contamination(rho, args.law)
-    params = _algo_params(args)
+        ContaminationSpec(rho=rho, **_LAWS[args.law])
+    params = dict(_algo_params(args), min_window=args.min_window, gap_b=args.gap_b,
+                  silhouette_metric=args.silhouette_metric)
 
     rows = []
     for algorithm in algorithms:
@@ -407,19 +401,17 @@ def cmd_bench(args) -> int:
             for t in range(trials):
                 t0 = time.perf_counter()
                 data, truth_centers = _scenario_data(
-                    args.scenario, derive_seed(args.seed, 61, t), ppc, rho, args.law,
-                    contam_seed=derive_seed(args.seed, 62, t))
+                    args.scenario, derive_seed(args.seed, _TRIAL_DATA_STREAM, t), ppc, rho,
+                    args.law, contam_seed=derive_seed(args.seed, _TRIAL_CONTAM_STREAM, t))
                 report_sel, result, _ = run_selection(
                     data.points, args.method, k_max, algorithm,
-                    seed=derive_seed(args.seed, 63, t), min_window=args.min_window,
-                    gap_b=args.gap_b, silhouette_metric=args.silhouette_metric, **params)
-                keep = ~data.contaminated
-                ari = adjusted_rand_index(data.true_labels[keep], result.labels[keep])
-                err = centroid_l1_error(truth_centers, result.centers)
-                per_trial.append((report_sel.k_hat, ari, err))
-                log.info("bench: %s rho=%g trial=%d k_hat=%d ari=%.3f (%.2fs)",
-                         algorithm, rho, t, report_sel.k_hat, ari,
-                         time.perf_counter() - t0)
+                    seed=derive_seed(args.seed, _TRIAL_RUN_STREAM, t), **params)
+                scores = _evaluation_block(result.labels, data.true_labels, data.contaminated,
+                                           result.centers, truth_centers)
+                ari = scores.get("ari_uncontaminated", scores["ari"])
+                per_trial.append((report_sel.k_hat, ari, scores["centroid_l1_error"]))
+                log.info("bench: %s rho=%g trial=%d k_hat=%d ari=%.3f (%.2fs)", algorithm, rho,
+                         t, report_sel.k_hat, ari, time.perf_counter() - t0)
             s = summarize_trials(per_trial, truth_centers.shape[0])
             rows.append([args.scenario, args.method, algorithm, args.law, rho,
                          s.trials, s.n_correct, s.k_bar, s.ari_mean, s.l1_error_median])
@@ -459,6 +451,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+# the one option taken before the subcommand: `_replay` reads it, the top parser lists it
+_CONFIG = _Parser(prog="kmedians", add_help=False)
+_CONFIG.add_argument("--config", help="JSON report or config echo to re-run")
 
 
 def _add_common(p: argparse.ArgumentParser, source: str, *, rho_grid: bool = False):
@@ -529,9 +526,8 @@ def _add_selection(p: argparse.ArgumentParser, *, k_max_required: bool):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI surface: each subcommand's parser holds exactly the flags it reads."""
     parser = _Parser(
-        prog="kmedians",
+        prog="kmedians", parents=[_CONFIG],
         description="Robust K-medians clustering with automatic selection of k.")
-    parser.add_argument("--config", help="JSON report or config echo to re-run")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="cluster with a fixed number of clusters")
@@ -544,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "either")
     _add_algo(p)
     _add_selection(p, k_max_required=True)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=_fit_and_report)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset to CSV")
     _add_common(p, "scenario")
@@ -587,21 +583,21 @@ def _config_to_argv(cfg: dict, parser: argparse.ArgumentParser) -> list[str]:
 
 
 def _replay(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """`argv` with `--config FILE` replaced by the subcommand and flags of the
-    report or config echo in FILE; a subcommand named in `argv` wins."""
-    if "--config" not in argv:
+    """`argv` with `--config FILE` or `--config=FILE` replaced by the subcommand and flags
+    of the report or config echo in FILE, a subcommand named in `argv` winning; without
+    --config, a flag before the subcommand is refused."""
+    known, rest = _CONFIG.parse_known_args(argv)
+    if known.config is None:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise ConfigError(f"kmedians: {argv[0].split('=')[0]} must follow the subcommand")
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config requires a path")
     try:
-        doc = json.loads(Path(argv[i + 1]).read_text(encoding="utf-8"))
+        doc = json.loads(Path(known.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"--config: {e}") from None
     cfg = doc.get("config", doc) if isinstance(doc, dict) else None
     if not isinstance(cfg, dict):
         raise ValueError("--config: document must be a JSON object")
-    rest = argv[:i] + argv[i + 2:]
     command = doc.get("command") or cfg.get("command")
     if rest and not rest[0].startswith("-"):
         command = rest.pop(0)

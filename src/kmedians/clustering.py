@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._genie import GenieHierarchy
-from ._utils import _sq_dists, as_codebook, as_points, pairwise_distances, spawn_rng
+from ._utils import _sq_dists, as_codebook, as_count, as_points, pairwise_distances, spawn_rng
 from .geomedian import AsgConfig, _asg_stream, _asg_update, _weiszfeld_blocks
 from .geomedian import weiszfeld_median  # noqa: F401  (perfbench/tracing.py hooks this name)
 
@@ -110,21 +110,14 @@ def _nearest(x: np.ndarray, codebook):
     return labels, dist[np.arange(x.shape[0]), labels]
 
 
-def _check_fit(k: int, n: int) -> None:
-    """Refuse a k outside 1..n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-
-
 def _check_options(algorithm: str, cfg=None, max_iter=100, n_start=5, median_tol=1e-6) -> None:
-    """Refuse an unknown algorithm, a cap below 1 and a median_tol that is not positive.
-    Takes `run_clustering`'s options (cfg, an AsgConfig, checks itself) as keywords, so
-    a sweep refuses them before it fits."""
+    """Refuse an unknown algorithm, a cap that is not an integer >= 1 and a median_tol that
+    is not positive. Takes `run_clustering`'s options (cfg, an AsgConfig, checks itself) as
+    keywords, so a sweep refuses them before it fits."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    for name, cap in (("max_iter", max_iter), ("n_start", n_start)):
-        if cap < 1:
-            raise ValueError(f"{name} must be >= 1, got {cap}")
+    as_count("max_iter", max_iter, 1)
+    as_count("n_start", n_start, 1)
     if not median_tol > 0:
         raise ValueError(f"median_tol must be positive, got {median_tol}")
 
@@ -175,7 +168,7 @@ def _init_codebook(x: np.ndarray, k: int, method: InitMethod, rng: np.random.Gen
 def init_centers(points, k: int, method: InitMethod | None = None, seed: int = 0) -> np.ndarray:
     """Initial codebook of k centers for the given strategy."""
     x = as_points(points)
-    _check_fit(k, x.shape[0])
+    k = as_count("k", k, 1, x.shape[0], "n")
     method = method or InitMethod()
     return _init_codebook(x, k, method, spawn_rng(seed, _INIT_STREAM))
 
@@ -340,7 +333,7 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     """
     x = as_points(points)
     n = x.shape[0]
-    _check_fit(k, n)
+    k = as_count("k", k, 1, n, "n")
     cfg = cfg or AsgConfig()
     init = init or InitMethod()
 
@@ -348,7 +341,7 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     m_bar = m.copy()
     counts = [1] * k
     # the order is drawn as asg_median draws it, so k=1 at one pass equals it
-    order = np.random.default_rng(seed).permutation(n)
+    order = spawn_rng(seed).permutation(n)
     for idx in order:
         xi = x[idx]
         r = int(np.argmin(np.linalg.norm(m_bar - xi, axis=1)))
@@ -382,7 +375,7 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
     """
     _check_options(algorithm, max_iter=max_iter, n_start=n_start, median_tol=median_tol)
     x = as_points(points)
-    _check_fit(k, x.shape[0])
+    k = as_count("k", k, 1, x.shape[0], "n")
     init = init or InitMethod()
     cfg = cfg or AsgConfig()
     if algorithm == "online":

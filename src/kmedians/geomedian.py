@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._utils import _sq_dists, as_points, pairwise_distances
+from ._utils import _sq_dists, as_count, as_points, pairwise_distances, spawn_rng
 
 __all__ = ["MedianEstimate", "AsgConfig", "l1_objective", "weiszfeld_median", "asg_median"]
 
@@ -54,8 +54,7 @@ class AsgConfig:
             raise ValueError(f"c_gamma must be positive, got {self.c_gamma}")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly between 0.5 and 1, got {self.alpha}")
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        self.passes = as_count("passes", self.passes, 1)
 
 
 def l1_objective(points, u) -> float:
@@ -93,8 +92,7 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
         (see `_weiszfeld_blocks`), so it is never stuck there.
     """
     x = as_points(points)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = as_count("max_iter", max_iter, 1)
     m, steps, converged = _weiszfeld_blocks(x, np.array([0, x.shape[0]]), _start(x, start)[None],
                                             tol, max_iter)
     return MedianEstimate(point=m[0], iterations=int(steps[0]), converged=bool(converged[0]),
@@ -226,7 +224,7 @@ def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0,
     x = as_points(points)
     cfg = cfg or AsgConfig()
     m = _start(x, start)
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     order = np.concatenate([rng.permutation(x.shape[0]) for _ in range(cfg.passes)])
     m_bar = _asg_stream(x, order, m, cfg.c_gamma, cfg.alpha)
     return MedianEstimate(point=m_bar, iterations=len(order), converged=True,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._genie import GenieHierarchy
-from ._utils import as_points, derive_seed, spawn_rng
+from ._utils import as_count, as_points, derive_seed, spawn_rng
 from .clustering import ClusteringResult, InitMethod, _check_options, run_clustering
 
 __all__ = [
@@ -54,6 +54,7 @@ class DistortionCurve:
     results: list[ClusteringResult] = field(default_factory=list)
 
     def __post_init__(self):
+        self.n = as_count("n", self.n, 1)
         self.ks = np.asarray(self.ks, dtype=int)
         self.distortions = np.asarray(self.distortions, dtype=float)
         if self.ks.shape != self.distortions.shape or self.ks.ndim != 1:
@@ -102,33 +103,30 @@ class SelectionReport:
 
 def penalty_shape(k: int, n: int) -> float:
     """Penalty growth in k, up to the calibrated constant: sqrt(k / n)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return math.sqrt(k / n)
+    n = as_count("n", n, 1)
+    return math.sqrt(as_count("k", k, 1, n, "n") / n)
 
 
 def _candidate_ks(k_min: int, k_max: int, n: int) -> np.ndarray:
     """k_min..k_max, refusing a k_max outside k_min..n before anything is fitted."""
-    if not k_min <= k_max <= n:
-        raise ValueError(f"k_max must satisfy {k_min} <= k_max <= n, got k_max={k_max}, n={n}")
-    return np.arange(k_min, k_max + 1)
+    return np.arange(k_min, as_count("k_max", k_max, k_min, n, "n") + 1)
 
 
 def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
-    """Check the fit options, then fit the algorithm to the validated points x at
-    every k in ks, building the hierarchy init once; fit k runs on seed_key + (k,)."""
+    """Check the fit options and derive each fit's seed (k's from seed_key + (k,)), then fit
+    the algorithm to the validated points x at every k in ks, building the hierarchy once."""
     _check_options(algorithm, **params)
+    seeds = [derive_seed(*seed_key, k) for k in ks]
     init = init or InitMethod()
     tree = None
     if init.kind == "robust_hierarchical":
         tree = GenieHierarchy(x, init.gini_threshold)
     results = []
-    for k in ks:
+    for k, seed in zip(ks, seeds):
         init_k = init
         if tree is not None:
             init_k = InitMethod(kind="provided", provided_centers=tree.centers_at(x, k))
-        results.append(run_clustering(x, int(k), algorithm, seed=derive_seed(*seed_key, k),
-                                      init=init_k, **params))
+        results.append(run_clustering(x, k, algorithm, seed=seed, init=init_k, **params))
     return DistortionCurve(n=x.shape[0], ks=ks, distortions=[r.distortion for r in results],
                            results=results)
 
@@ -154,10 +152,7 @@ def _first_window(min_window: int | None, n_entries: int, k_top: int) -> int:
         raise ValueError(f"slope selection needs at least 3 curve points, got {n_entries}")
     if min_window is None:
         return max(2, min(max(3, int(math.floor(0.3 * k_top))), n_entries - 1))
-    if not 2 <= min_window <= n_entries - 1:
-        raise ValueError(f"min_window must satisfy 2 <= min_window <= {n_entries - 1}, "
-                         f"got {min_window}")
-    return min_window
+    return as_count("min_window", min_window, 2, n_entries - 1)
 
 
 def slope_select(curve: DistortionCurve, min_window: int | None = None) -> SelectionReport:
@@ -208,8 +203,7 @@ def _gap(points, k_max, B, algorithm, seed, *, init=None, **params):
     x = as_points(points)
     n, d = x.shape
     ks = _candidate_ks(1, k_max, n)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    B = as_count("B", B, 1)
     lo, hi = x.min(axis=0), x.max(axis=0)
     if np.all(hi == lo):
         raise ValueError("degenerate data: zero range in every coordinate")
@@ -347,8 +341,10 @@ def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
                   **params):
     """Run a selector and return (report, fitted result at k_hat, curve or None)."""
     if method == "slope":
-        _first_window(min_window, k_max, k_max)   # refused before any fit
-        curve = distortion_curve(points, k_max, algorithm, seed, init=init, **params)
+        x = as_points(points)
+        ks = _candidate_ks(1, k_max, x.shape[0])
+        _first_window(min_window, ks.size, k_max)   # refused before any fit
+        curve = _sweep(x, ks, algorithm, (seed, _CURVE_STREAM), init, params)
         report = slope_select(curve, min_window)
     elif method == "gap":
         report, curve = _gap(points, k_max, gap_b, algorithm, seed, init=init, **params)

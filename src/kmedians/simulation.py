@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._utils import as_codebook, as_points, spawn_rng
+from ._utils import as_codebook, as_count, as_points, spawn_rng
 
 __all__ = [
     "MixtureSpec",
@@ -42,8 +42,7 @@ class MixtureSpec:
 
     def __post_init__(self):
         self.centers = as_codebook(self.centers)
-        if self.points_per_cluster < 1:
-            raise ValueError(f"points_per_cluster must be >= 1, got {self.points_per_cluster}")
+        self.points_per_cluster = as_count("points_per_cluster", self.points_per_cluster, 1)
 
 
 @dataclass
@@ -91,13 +90,11 @@ class LabeledDataset:
 
 def sphere_centers(k: int, radius: float, d: int, seed: int = 0) -> np.ndarray:
     """k i.i.d. draws from the uniform law on the radius-`radius` sphere in R^d."""
-    if d < 2:
-        raise ValueError(f"sphere centers need d >= 2, got {d}")
+    d = as_count("d", d, 2)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
+    k = as_count("k", k, 1)
+    rng = spawn_rng(seed)
     g = rng.standard_normal((k, d))
     norms = np.linalg.norm(g, axis=1)
     while (norms < 1e-12).any():
@@ -109,7 +106,7 @@ def sphere_centers(k: int, radius: float, d: int, seed: int = 0) -> np.ndarray:
 
 def sample_mixture(spec: MixtureSpec, seed: int = 0) -> LabeledDataset:
     """Draw points_per_cluster unit-covariance Gaussian points per center."""
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     k, d = spec.centers.shape
     m = spec.points_per_cluster
     blocks = [spec.centers[j] + rng.standard_normal((m, d)) for j in range(k)]
@@ -133,8 +130,7 @@ def make_scenario(which: str, seed: int = 0) -> LabeledDataset:
     """
     which = which.lower()
     if which == "s1":
-        rng = np.random.default_rng(seed)
-        points = rng.random((2000, 10))
+        points = spawn_rng(seed).random((2000, 10))
         return LabeledDataset(
             points=points,
             true_labels=np.zeros(2000, dtype=int),

@@ -239,7 +239,11 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             *((3, ("select", "--scenario", "s2", "--k-max", 6, "--min-window", w))
               for w in (-5, 0, 1, 6, 99)),
             (3, ("bench", "--scenario", "s2", "--trials", 1, "--k-max", 4,
-                 "--min-window", 4))):
+                 "--min-window", 4)),
+            # a negative seed, a subcommand flag before the subcommand, --config without a path
+            (3, ("cluster", "--input", data, "--k", 2, "--seed", -1)),
+            (2, ("--seed", 3, "cluster", "--input", data, "--k", 2)),
+            (2, ("--config",))):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", out) == code, argv
         assert not out.exists(), argv
@@ -548,6 +552,26 @@ def test_config_replay_of_a_report_without_min_window(tmp_path):
     assert run_cli("--config", tmp_path / "a" / "report.json", "--out", tmp_path / "b") == 0
     assert (tmp_path / "a" / "curve.csv").read_bytes() == \
         (tmp_path / "b" / "curve.csv").read_bytes()
+
+
+def test_config_with_equals_sign_replays_the_seed(tmp_path):
+    assert run_cli("cluster", "--scenario", "s2", "--k", 3, "--algorithm", "kmeans",
+                   "--init", "plus_plus_l1", "--seed", 3, "--out", tmp_path / "a") == 0
+    assert run_cli(f"--config={tmp_path / 'a' / 'report.json'}", "--out", tmp_path / "b") == 0
+    replayed = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert replayed["config"]["seed"] == 3
+    assert (tmp_path / "a" / "labels.csv").read_bytes() == \
+        (tmp_path / "b" / "labels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("before", [("--seed", 3), ("--verbose",), ("--out", "early")])
+def test_a_flag_before_the_subcommand_is_named(tmp_path, monkeypatch, capsys, before):
+    # refused, not read as the subcommand (`invalid choice: '3'`) or left over
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(*before, "cluster", "--scenario", "s2", "--k", 2, "--out", out) == 2
+    assert f"kmedians: {before[0]} must follow the subcommand" in capsys.readouterr().err
+    assert not out.exists() and not Path("early").exists()
 
 
 @pytest.mark.parametrize("doc", ["[]", "3", '"select"', '{"config": [1]}'])
