@@ -219,9 +219,11 @@ def _scenario_data(scenario: str, seed: int, points_per_cluster: int | None, rho
 
 
 def _algo_params(args) -> dict:
-    cfg = AsgConfig(c_gamma=args.c_gamma, alpha=args.alpha, passes=args.passes)
+    n_start, max_iter, passes = (as_count(flag, value, 1) for flag, value in (
+        ("--n-start", args.n_start), ("--max-iter", args.max_iter), ("--passes", args.passes)))
+    cfg = AsgConfig(c_gamma=args.c_gamma, alpha=args.alpha, passes=passes)
     init = InitMethod(kind=args.init, gini_threshold=args.gini_threshold)
-    return dict(init=init, cfg=cfg, max_iter=args.max_iter, n_start=args.n_start,
+    return dict(init=init, cfg=cfg, max_iter=max_iter, n_start=n_start,
                 median_tol=args.median_tol)
 
 
@@ -312,7 +314,7 @@ def _fit_and_report(args) -> int:
     """cluster fits at --k, select chooses k by --method; either writes labels.csv,
     a selection's curve/windows/projection CSVs, and report.json."""
     if args.command == "select":
-        _check_min_window(args)
+        _check_selection(args)
     points, true_labels, mask, truth_centers = _dataset_from_args(args)
     seed = derive_seed(args.seed, _RUN_STREAM)
     t0 = time.perf_counter()
@@ -352,10 +354,13 @@ def _fit_and_report(args) -> int:
                                      truth_centers))
 
 
-def _check_min_window(args) -> None:
-    """Refuse --min-window under a method that has no slope-fit window."""
+def _check_selection(args) -> None:
+    """Refuse --min-window under a method that has no slope-fit window, and a --gap-b
+    below 1 under the gap method."""
     if args.min_window is not None and args.method != "slope":
         raise ConfigError(f"--min-window applies only to --method slope, not {args.method}")
+    if args.method == "gap":
+        as_count("--gap-b", args.gap_b, 1)
 
 
 def cmd_simulate(args) -> int:
@@ -371,7 +376,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_min_window(args)
+    _check_selection(args)
     trials = args.trials if args.trials is not None else (50 if args.full else 20)
     as_count("--trials", trials, 1)
     ppc = args.points_per_cluster
@@ -582,15 +587,28 @@ def _config_to_argv(cfg: dict, parser: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
+def _command_at(rest: list[str], commands: dict) -> int | None:
+    """Where the subcommand stands among the arguments beside --config: first, when
+    the first is not a flag, else the first subcommand name that is not a flag's value."""
+    if rest and not rest[0].startswith("-"):
+        return 0
+    valued = {flag for p in commands.values() for a in p._actions if a.nargs != 0
+              for flag in a.option_strings}
+    return next((i for i, a in enumerate(rest)
+                 if a in commands and (i == 0 or rest[i - 1] not in valued)), None)
+
+
 def _replay(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """`argv` with `--config FILE` or `--config=FILE` replaced by the subcommand and flags
-    of the report or config echo in FILE, a subcommand named in `argv` winning; without
-    --config, a flag before the subcommand is refused."""
+    of the report or config echo in FILE, a subcommand named anywhere in `argv` winning;
+    without --config, a flag before the subcommand is refused."""
     known, rest = _CONFIG.parse_known_args(argv)
     if known.config is None:
         if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
             raise ConfigError(f"kmedians: {argv[0].split('=')[0]} must follow the subcommand")
         return argv
+    if not known.config:
+        raise ConfigError("kmedians: argument --config: expected a path, got ''")
     try:
         doc = json.loads(Path(known.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
@@ -599,11 +617,12 @@ def _replay(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     if not isinstance(cfg, dict):
         raise ValueError("--config: document must be a JSON object")
     command = doc.get("command") or cfg.get("command")
-    if rest and not rest[0].startswith("-"):
-        command = rest.pop(0)
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    at = _command_at(rest, commands)
+    if at is not None:
+        command = rest.pop(at)
     if not command:
         raise ConfigError("--config document does not name a command")
-    commands = next(a for a in parser._actions if a.dest == "command").choices
     # an unknown command is left for argparse to report
     replay = _config_to_argv(cfg, commands[command]) if command in commands else []
     return [command] + replay + rest

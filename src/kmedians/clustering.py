@@ -329,7 +329,8 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     takes a Robbins-Monro step of size c_gamma / (n_r + 1)**alpha toward
     the point; per-center counters start at 1 so the initial centers carry
     one observation's weight in the averages. The pass costs O(k n d)
-    arithmetic; the default Genie init costs O(n^2 d) before it.
+    arithmetic; the default Genie init builds an exact minimum spanning
+    tree before it, in about O(n log n) time for small d.
     """
     x = as_points(points)
     n = x.shape[0]

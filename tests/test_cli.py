@@ -564,6 +564,32 @@ def test_config_with_equals_sign_replays_the_seed(tmp_path):
         (tmp_path / "b" / "labels.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [("--seed", 3), ("--out", "cluster"), ("--verbose",)])
+def test_config_takes_the_subcommand_after_flags(tmp_path, monkeypatch, flags):
+    # the subcommand after subcommand flags is still the subcommand, but a flag's value
+    # that names one (`--out cluster`) is not
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("cluster", "--scenario", "s2", "--k", 2, "--out", tmp_path / "a") == 0
+    cfg = tmp_path / "a" / "report.json"
+    out = tmp_path / "b"
+    assert run_cli("--config", cfg, *flags, "cluster", "--out", out) == 0
+    replayed = json.loads((out / "report.json").read_text())
+    assert replayed["command"] == "cluster"
+    assert replayed["config"]["seed"] == (3 if flags[0] == "--seed" else 0)
+    assert run_cli("--config", cfg, "--out", "cluster") == 0
+    assert json.loads(Path("cluster", "report.json").read_text())["command"] == "cluster"
+
+
+def test_empty_config_path_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # as a bare --config is, rather than a read of the directory '.'
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--config=") == 2
+    assert "config error: kmedians: argument --config: expected a path" in \
+        capsys.readouterr().err
+    assert run_cli("--config=", "cluster", "--scenario", "s2", "--k", 2) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("before", [("--seed", 3), ("--verbose",), ("--out", "early")])
 def test_a_flag_before_the_subcommand_is_named(tmp_path, monkeypatch, capsys, before):
     # refused, not read as the subcommand (`invalid choice: '3'`) or left over

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmedians import (
     ALGORITHMS,
@@ -21,7 +23,7 @@ from kmedians import (
     weiszfeld_median,
 )
 from kmedians import clustering
-from kmedians._genie import GenieHierarchy
+from kmedians._genie import GenieHierarchy, _spanning_tree
 from kmedians._utils import _sq_dists, pairwise_distances
 from kmedians.clustering import (
     _asg_step,
@@ -151,39 +153,45 @@ def test_genie_hierarchy_levels():
     assert np.all(tree.labels_at(1) == 0)
 
 
-# Reference Genie construction: the dense Prim loop and the O(n)-per-merge
+# Reference Genie construction: a dense Prim loop and the O(n)-per-merge
 # relabelling loop that the fast construction in kmedians._genie must match.
 
 
 def _reference_prim_mst(x: np.ndarray):
+    """Prim from vertex 0 over the edge key (w, min end, max end), a total
+    order, so that tied weights too give the one tree; edges in key order,
+    each from the end nearer vertex 0."""
     n = x.shape[0]
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     best_dist = np.linalg.norm(x - x[0], axis=1)
     best_dist[0] = np.inf
     best_from = np.zeros(n, dtype=np.intp)
+    idx = np.arange(n)
     eu = np.empty(n - 1, dtype=np.intp)
     ev = np.empty(n - 1, dtype=np.intp)
     ew = np.empty(n - 1, dtype=float)
     for t in range(n - 1):
-        j = int(np.argmin(best_dist))
+        lo, hi = np.minimum(idx, best_from), np.maximum(idx, best_from)
+        tied = np.flatnonzero(~in_tree & (best_dist == best_dist[~in_tree].min()))
+        j = int(tied[np.lexsort((hi[tied], lo[tied]))[0]])
         eu[t], ev[t], ew[t] = best_from[j], j, best_dist[j]
         in_tree[j] = True
         best_dist[j] = np.inf
         d = np.linalg.norm(x - x[j], axis=1)
-        upd = ~in_tree & (d < best_dist)
+        upd = ~in_tree & ((d < best_dist) | (d == best_dist) & (
+            (np.minimum(idx, j) < lo) | (np.minimum(idx, j) == lo) & (np.maximum(idx, j) < hi)))
         best_dist[upd] = d[upd]
         best_from[upd] = j
-    return eu, ev, ew
+    order = np.lexsort((np.maximum(eu, ev), np.minimum(eu, ev), ew))
+    return eu[order], ev[order], ew[order]
 
 
 def _reference_merge_order(x: np.ndarray, gini_threshold: float):
     n = x.shape[0]
     if n <= 1:
         return []
-    eu, ev, ew = _reference_prim_mst(x)
-    order = np.argsort(ew, kind="stable")
-    eu, ev = eu[order], ev[order]
+    eu, ev, _ = _reference_prim_mst(x)   # weight-sorted
 
     label = np.arange(n)          # cluster id per point
     size = np.ones(n, dtype=np.intp)
@@ -262,6 +270,42 @@ def test_genie_labels_match_reference(x):
         tree = GenieHierarchy(x, g)
         for k in sorted({1, 2, 3, 5, 10, 20, n // 2, n - 1, n} & set(range(1, n + 1))):
             assert np.array_equal(tree.labels_at(k), _reference_labels_at(tree.merges, n, k))
+
+
+def _assert_reference_tree(x):
+    got, want = _spanning_tree(x), _reference_prim_mst(x)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 300), d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+def test_spanning_tree_equals_reference_on_continuous_draws(n, d, seed, log_scale):
+    # edges, orientation (from vertex 0), order and weights, bit for bit
+    x = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** np.array(log_scale[:d])
+    _assert_reference_tree(x)
+
+
+def _tree_cases():
+    rng = np.random.default_rng(21)
+    five = rng.normal(size=(5, 3))
+    yield "many duplicates", five[rng.integers(0, 5, size=300)]
+    yield "all coincident", np.zeros((40, 2))
+    yield "duplicates in a cloud", np.vstack([rng.normal(size=(200, 2)),
+                                              np.repeat(rng.normal(size=(4, 2)), 25, axis=0)])
+    for n in range(2, 9):    # fewer points than the first query's neighbours
+        yield f"n={n} below K", rng.normal(size=(n, 4))
+    yield "one point far from a tight cluster", np.vstack(
+        [rng.normal(size=(299, 3)) * 1e-3, [[1e4, -1e4, 1e4]]])
+    yield "student t1", rng.standard_t(1, size=(300, 3))
+    yield "well-separated blobs", (rng.uniform(-100, 100, size=(12, 5))[rng.integers(0, 12, 300)]
+                                   + rng.normal(size=(300, 5)))
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in _tree_cases()])
+def test_spanning_tree_equals_reference_on_fixed_cases(x):
+    _assert_reference_tree(x)
 
 
 def test_genie_merges_match_reference_on_small_draws():

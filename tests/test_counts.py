@@ -177,6 +177,18 @@ def test_spawn_rng_of_one_key_is_default_rng(seed):
      "error: --trials must be >= 1, got 0"),
     (("simulate", "--scenario", "sphere10", "--points-per-cluster", 0), 3,
      "error: --points-per-cluster must be >= 1, got 0"),
+    (("select", "--scenario", "s2", "--k-max", 4, "--method", "gap", "--gap-b", 0), 3,
+     "error: --gap-b must be >= 1, got 0"),
+    (("cluster", "--scenario", "s2", "--k", 2, "--passes", 0), 3,
+     "error: --passes must be >= 1, got 0"),
+    (("cluster", "--scenario", "s2", "--k", 2, "--n-start", 0), 3,
+     "error: --n-start must be >= 1, got 0"),
+    (("select", "--scenario", "s2", "--k-max", 4, "--max-iter", 0), 3,
+     "error: --max-iter must be >= 1, got 0"),
+    (("bench", "--scenario", "s2", "--k-max", 3, "--trials", 1, "--method", "gap",
+      "--gap-b", -1), 3, "error: --gap-b must be >= 1, got -1"),
+    (("bench", "--scenario", "s2", "--k-max", 3, "--trials", 1, "--passes", 0), 3,
+     "error: --passes must be >= 1, got 0"),
     (("cluster", "--scenario", "s2", "--k", 2.5), 2, "argument --k: invalid int value"),
     (("bench", "--scenario", "s2", "--trials", 2.5), 2,
      "argument --trials: invalid int value"),
