@@ -177,6 +177,12 @@ def test_spawn_rng_of_one_key_is_default_rng(seed):
      "error: --trials must be >= 1, got 0"),
     (("simulate", "--scenario", "sphere10", "--points-per-cluster", 0), 3,
      "error: --points-per-cluster must be >= 1, got 0"),
+    (("cluster", "--scenario", "s2", "--k", 2.5), 2, "argument --k: invalid int value"),
+    (("bench", "--scenario", "s2", "--trials", 2.5), 2,
+     "argument --trials: invalid int value"),
+    (("simulate", "--scenario", "sphere10", "--points-per-cluster", 2.5), 2,
+     "argument --points-per-cluster: invalid int value"),
+    (("simulate", "--scenario", "s2", "--seed", 2.5), 2, "argument --seed: invalid int value"),
     (("select", "--scenario", "s2", "--k-max", 4, "--method", "gap", "--gap-b", 0), 3,
      "error: --gap-b must be >= 1, got 0"),
     (("cluster", "--scenario", "s2", "--k", 2, "--passes", 0), 3,
@@ -189,12 +195,6 @@ def test_spawn_rng_of_one_key_is_default_rng(seed):
       "--gap-b", -1), 3, "error: --gap-b must be >= 1, got -1"),
     (("bench", "--scenario", "s2", "--k-max", 3, "--trials", 1, "--passes", 0), 3,
      "error: --passes must be >= 1, got 0"),
-    (("cluster", "--scenario", "s2", "--k", 2.5), 2, "argument --k: invalid int value"),
-    (("bench", "--scenario", "s2", "--trials", 2.5), 2,
-     "argument --trials: invalid int value"),
-    (("simulate", "--scenario", "sphere10", "--points-per-cluster", 2.5), 2,
-     "argument --points-per-cluster: invalid int value"),
-    (("simulate", "--scenario", "s2", "--seed", 2.5), 2, "argument --seed: invalid int value"),
 ])
 def test_cli_refuses_a_bad_count_or_seed_by_name(tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
