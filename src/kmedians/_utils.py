@@ -16,6 +16,8 @@ def as_points(points) -> np.ndarray:
         raise ValueError(f"points must be a 2-D array, got ndim={x.ndim}")
     if x.shape[0] == 0:
         raise ValueError("points must be nonempty")
+    if x.shape[1] == 0:
+        raise ValueError(f"points must have at least one column, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("points contain non-finite coordinates")
     return x

@@ -252,6 +252,7 @@ def _clustering_block(result) -> dict:
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
         "stop_reason": result.stop_reason,
+        "median_cap_hits": result.median_cap_hits,
     }
 
 

@@ -65,7 +65,10 @@ class ClusteringResult:
     `assign(points, centers)` for the returned centers. `stop_reason` says
     why the kept restart's Lloyd loop ended: "labels_repeat", "plateau"
     (semi_online only) or "cap" (max_iter reached; also online, whose one
-    pass has no convergence test).
+    pass has no convergence test). `median_cap_hits` counts the Weiszfeld
+    solves of the kept offline restart, one per cluster and Lloyd iteration,
+    that stopped at their iteration cap unconverged; it is 0 for the other
+    algorithms.
     """
 
     centers: np.ndarray
@@ -75,6 +78,7 @@ class ClusteringResult:
     restarts_used: int
     algorithm: str
     stop_reason: str = "cap"
+    median_cap_hits: int = 0
 
 
 @dataclass
@@ -197,17 +201,23 @@ def _assign_repaired(x: np.ndarray, centers: np.ndarray):
 
 def _blocks(x, labels, k):
     """Rows of x sorted stably by label, and bounds with cluster j in rows
-    bounds[j]:bounds[j+1], equal to x[labels == j] row for row."""
+    bounds[j]:bounds[j+1], equal to x[labels == j] row for row. The labels are
+    sorted in the narrowest unsigned type that holds k, where numpy's stable
+    sort is a radix sort; a stable sort gives one permutation whatever the type."""
     bounds = np.zeros(k + 1, dtype=np.intp)
     np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
-    return x[np.argsort(labels, kind="stable")], bounds
+    return x[np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")], bounds
 
 
 def _median_step(tol, max_iter):
     """Offline M-step: the Weiszfeld median of every cluster from its center,
-    one `_weiszfeld_blocks` batch over all clusters."""
+    one `_weiszfeld_blocks` batch over all clusters. `m_step.cap_hits` counts
+    the clusters, over every call, whose solve ended unconverged at max_iter."""
     def m_step(xs, bounds, centers):
-        return _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)[0]
+        points, _, converged = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
+        m_step.cap_hits += int(np.count_nonzero(~converged))
+        return points
+    m_step.cap_hits = 0
     return m_step
 
 
@@ -280,7 +290,7 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
     with the lowest mean distance to the nearest center (squared for kmeans) is
     kept; semi_online restarts also stop at a distortion plateau (see
     `_lloyd_once`). Returns (centers, labels, distortion, iterations, restarts
-    run, stop reason of the kept restart).
+    run, stop reason and Weiszfeld cap hits of the kept restart).
     """
     fixed_init = None
     if init.kind != "plus_plus_l1":
@@ -295,10 +305,11 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
         centers, labels, iterations, dmin, stop = _lloyd_once(
             x, centers0, m_step, max_iter, plateau=algorithm == "semi_online")
         distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
+        cap_hits = m_step.cap_hits if algorithm == "offline" else 0
         if best is None or distortion < best[2]:
-            best = centers, labels, distortion, iterations, stop
-    centers, labels, distortion, iterations, stop = best
-    return centers, labels, distortion, iterations, n_start, stop
+            best = centers, labels, distortion, iterations, stop, cap_hits
+    centers, labels, distortion, iterations, stop, cap_hits = best
+    return centers, labels, distortion, iterations, n_start, stop, cap_hits
 
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
@@ -381,8 +392,8 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    centers, labels, distortion, iterations, used, stop = _best_of_restarts(
+    centers, labels, distortion, iterations, used, stop, cap_hits = _best_of_restarts(
         x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol)
     return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
                             iterations=iterations, restarts_used=used, algorithm=algorithm,
-                            stop_reason=stop)
+                            stop_reason=stop, median_cap_hits=cap_hits)

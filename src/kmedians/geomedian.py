@@ -63,6 +63,8 @@ def l1_objective(points, u) -> float:
     u = np.asarray(u, dtype=float).ravel()
     if u.shape[0] != x.shape[1]:
         raise ValueError(f"query dimension {u.shape[0]} does not match data dimension {x.shape[1]}")
+    if not np.isfinite(u).all():
+        raise ValueError("query point u must be finite")
     return float(pairwise_distances(x, u[None, :])[:, 0].mean())
 
 
@@ -124,67 +126,75 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     """Weiszfeld iteration on every block x[bounds[j]:bounds[j+1]] at once; the
     package's only Weiszfeld solver.
 
-    Block j starts at starts[j]. A step is a handful of whole-array passes over
-    all the blocks still iterating: distances row by row as np.linalg.norm adds
-    them, coordinate sums by np.bincount (sequential, as numpy sums along
-    axis 0), weight totals block by block (pairwise, as numpy sums a 1-D array;
-    so are the coordinate sums when d = 1, where the axis-0 sum runs down one
-    contiguous column). The step moves m to the average of the rows weighted by
-    1 / |x - m|. Rows on the iterate (distance exactly 0) get weight 0 and their
-    block takes the `_vardi_zhang` step, which stops at a median data point and
-    leaves any other, so no block stalls where the plain step is undefined.
+    Block j starts at starts[j]. The blocks still iterating share one working
+    copy of their rows, stored column by column, and a step is a handful of
+    whole-array passes over it: distances row by row as np.linalg.norm adds
+    them, each row's center by np.repeat, coordinate sums by np.bincount
+    (sequential, as numpy sums along axis 0), weight totals block by block
+    (pairwise, as numpy sums a 1-D array; so are the coordinate sums when
+    d = 1, where the axis-0 sum runs down one contiguous column). The step
+    moves m to the average of the rows weighted by 1 / |x - m|. Rows on the
+    iterate (distance exactly 0) get weight 0 and their block takes the
+    `_vardi_zhang` step, which stops at a median data point and leaves any
+    other, so no block stalls where the plain step is undefined.
 
     A block stops once converged, when ||m_new - m|| <= tol * (1 + ||m||), or
-    after max_iter steps; an empty block keeps its start and counts as
-    converged. Returns (points, steps, converged), one entry per block.
+    after max_iter steps; its rows then leave the working copy, which only
+    shrinks and is never gathered from x again. An empty block keeps its
+    start and counts as converged. Returns (points, steps, converged), one
+    entry per block.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     m = np.array(starts, dtype=float)
     k, d = m.shape
     sizes = np.diff(bounds)
-    cols = np.ascontiguousarray(x.T)
-    block = np.repeat(np.arange(k), sizes)    # block of every row
-    active = np.flatnonzero(sizes > 0)
     steps = np.zeros(k, dtype=np.intp)
     converged = sizes == 0
+    active = np.flatnonzero(sizes > 0)        # the blocks still iterating, in order
+    na = sizes[active]                        # their sizes
+    cur = m[active]                           # their iterates
+    xa = np.ascontiguousarray(x[bounds[0]:bounds[-1]].T)   # their rows, column by column
+    wx_buf = np.empty(xa.size)
     step = 0
-    rows = None
+    laid_out = False
     while active.size and step < max_iter:
-        if rows is None:                      # the active blocks changed: gather their rows
-            live = np.zeros(k, dtype=bool)
-            live[active] = True
-            rows = np.flatnonzero(live[block])
-            xa, ba = cols[:, rows], block[rows]
-            bins = (ba + k * np.arange(d)[:, None]).ravel()   # (coordinate, block) of xa
-            hi = np.cumsum(sizes[active])
-            spans = list(zip((hi - sizes[active]).tolist(), hi.tolist()))
-        dist = np.sqrt(_sq_dists(xa, m.T[:, ba]))
-        hit = dist == 0.0
-        any_hit = hit.any()
-        if any_hit:
-            dist[hit] = np.inf                # weight 0
-        w = 1.0 / dist
-        wx = w * xa
+        if not laid_out:                      # index the blocks of the working copy
+            ka, rows = active.size, xa.shape[1]
+            within = np.repeat(np.arange(ka), na)             # active block of every row
+            bins = (within * d + np.arange(d)[:, None]).ravel()   # (block, coordinate) of xa
+            hi = np.cumsum(na)
+            spans = list(zip((hi - na).tolist(), hi.tolist()))
+            laid_out = True
+        dist = _sq_dists(xa, np.repeat(cur.T, na, axis=1))
+        w = np.sqrt(dist, out=dist)
+        hit = None
+        if not w.all():
+            hit = w == 0.0
+            w[hit] = np.inf                   # weight 0
+        np.reciprocal(w, out=w)
+        wx = np.multiply(w, xa, out=wx_buf[:d * rows].reshape(d, rows))
         wsum = np.array([np.add.reduce(w[a:b]) for a, b in spans])
         if d == 1:
             s = np.array([np.add.reduce(wx[0, a:b]) for a, b in spans])[:, None]
         else:
-            s = np.bincount(bins, weights=wx.ravel(), minlength=k * d).reshape(d, k).T[active]
-        cur = m[active]
-        if any_hit:
-            m_new = _vardi_zhang(s, wsum, cur, np.bincount(ba[hit], minlength=k)[active])
-        else:
+            s = np.bincount(bins, weights=wx.ravel(), minlength=ka * d).reshape(ka, d)
+        if hit is None:
             m_new = s / wsum[:, None]
+        else:
+            m_new = _vardi_zhang(s, wsum, cur, np.bincount(within[hit], minlength=ka))
         # a block that stays on its median point moves by 0, which always passes
         done = np.sqrt(_rowdot(m_new - cur)) <= tol * (1.0 + np.sqrt(_rowdot(cur)))
-        m[active] = m_new
+        cur = m_new
         step += 1
         if done.any():
-            steps[active[done]] = step
-            converged[active[done]] = True
-            active = active[~done]
-            rows = None
+            gone = active[done]
+            m[gone], steps[gone], converged[gone] = cur[done], step, True
+            keep = ~done
+            xa = xa[:, np.repeat(keep, na)]
+            active, na, cur = active[keep], na[keep], cur[keep]
+            laid_out = False
+    m[active] = cur
     steps[active] = step
     return m, steps, converged
 

@@ -105,6 +105,20 @@ def test_k_above_the_distinct_points_leaves_empty_clusters(tmp_path):
         assert clustering["distortion"] == 0.0, algorithm
 
 
+def test_report_counts_the_capped_median_solves(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    pts = write_blobs_csv(data)
+    for cap in (100, 1):
+        monkeypatch.setattr(kmedians.clustering, "_MEDIAN_MAX_ITER", cap)
+        out = tmp_path / f"cap{cap}"
+        assert run_cli("cluster", "--input", data, "--k", 2, "--median-tol", 1e-12,
+                       "--out", out) == 0
+        clustering = json.loads((out / "report.json").read_text())["clustering"]
+        expected = kmedians.run_clustering(pts, 2, "offline", median_tol=1e-12).median_cap_hits
+        assert clustering["median_cap_hits"] == expected, cap
+        assert (expected > 0) == (cap == 1)
+
+
 def test_input_and_scenario_conflict(tmp_path):
     data = tmp_path / "data.csv"
     write_blobs_csv(data)

@@ -630,6 +630,51 @@ def test_lloyd_cases_reach_the_edge_paths():
     assert len(np.unique(_lloyd_once(x, c0, _mean_step, 100)[1])) < c0.shape[0]
 
 
+@pytest.mark.parametrize("k", [1, 255, 256, 257])
+def test_blocks_equal_boolean_selection(k):
+    # 255, 256 and 257 clusters are the edges of the label dtype of the sort;
+    # cluster 1 is empty and the last one holds the largest label
+    rng = np.random.default_rng(k)
+    n = 3 * k + 50
+    labels = rng.permutation(np.arange(n) % k)
+    if k > 2:
+        labels[labels == 1] = 0
+    x = np.column_stack([np.arange(n, dtype=float), rng.normal(size=n)])
+    xs, bounds = clustering._blocks(x, labels, k)
+    assert (bounds[0], bounds[-1]) == (0, n)
+    for j in range(k):
+        assert xs[bounds[j]:bounds[j + 1]].tobytes() == x[labels == j].tobytes(), j
+
+
+def test_median_cap_hits_count_the_kept_restarts_capped_solves(monkeypatch):
+    x = make_scenario("s2", seed=1).points
+    small = np.random.default_rng(8).normal(size=(60, 2))
+    for algorithm in ALGORITHMS:
+        assert run_clustering(small, 3, algorithm, n_start=2).median_cap_hits == 0, algorithm
+    assert run_clustering(x, 4, "offline", seed=1).median_cap_hits == 0
+    # at a cap of 2 steps, count the unconverged solves of each restart
+    restarts, lloyd_once, blocks = [], clustering._lloyd_once, clustering._weiszfeld_blocks
+
+    def restart(*args, **kwargs):
+        restarts.append([])
+        out = lloyd_once(*args, **kwargs)
+        restarts[-1] = (out[3].mean(), sum(restarts[-1]))
+        return out
+
+    def solve(*args):
+        out = blocks(*args)
+        restarts[-1].append(int(np.count_nonzero(~out[2])))
+        return out
+    monkeypatch.setattr(clustering, "_lloyd_once", restart)
+    monkeypatch.setattr(clustering, "_weiszfeld_blocks", solve)
+    monkeypatch.setattr(clustering, "_MEDIAN_MAX_ITER", 2)
+    r = run_clustering(x, 4, "offline", seed=1, median_tol=1e-12,
+                       init=InitMethod(kind="plus_plus_l1"), n_start=3)
+    kept = min(range(len(restarts)), key=lambda i: restarts[i][0])
+    assert len(restarts) == r.restarts_used == 3
+    assert r.median_cap_hits == restarts[kept][1] > 0
+
+
 def test_lloyd_each_point_own_cluster():
     pts = np.array([[0.0, 0.0], [1e6, 0.0], [0.0, 1e6], [1e6, 1e6]])
     for backend in ("weiszfeld", "asg"):

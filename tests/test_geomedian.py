@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from kmedians import AsgConfig, asg_median, l1_objective, weiszfeld_median
+from kmedians.geomedian import _weiszfeld_blocks
 
 
 def test_l1_objective_values():
@@ -18,6 +19,9 @@ def test_l1_objective_errors():
         l1_objective(np.empty((0, 2)), [0.0, 0.0])
     with pytest.raises(ValueError):
         l1_objective([[0.0, 0.0]], [0.0, 0.0, 0.0])
+    for u in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="query point u must be finite"):
+            l1_objective([[0.0, 0.0]], u)
 
 
 def test_weiszfeld_single_point():
@@ -44,6 +48,9 @@ def test_weiszfeld_errors():
         weiszfeld_median(np.empty((0, 3)))
     with pytest.raises(ValueError):
         weiszfeld_median([[np.nan, 0.0]])
+    for solver in (weiszfeld_median, asg_median):
+        with pytest.raises(ValueError, match="points must have at least one column"):
+            solver(np.zeros((3, 0)))
     with pytest.raises(ValueError):
         weiszfeld_median([[0.0, 1.0]], tol=0.0)
     for cap in (0, -3):
@@ -53,6 +60,77 @@ def test_weiszfeld_errors():
         for solver in (weiszfeld_median, asg_median):
             with pytest.raises(ValueError, match="start must be finite"):
                 solver([[0.0, 1.0], [2.0, 3.0]], start=start)
+
+
+def _reference_block(x, m, tol, max_iter):
+    """Scalar Weiszfeld on one block: (point, steps, converged). The plain step
+    while m sits on no row, the Vardi-Zhang step where it sits on eta rows,
+    which weigh 0; an empty block keeps its start and counts as converged."""
+    m = np.array(m, dtype=float)
+    if x.shape[0] == 0:
+        return m, 0, True
+    for step in range(1, max_iter + 1):
+        d = np.linalg.norm(x - m, axis=1)
+        on = d == 0.0
+        w = np.zeros_like(d)
+        w[~on] = 1.0 / d[~on]
+        s = (w[:, None] * x).sum(axis=0)
+        wsum = w.sum()
+        eta = int(on.sum())
+        if eta == 0:
+            m_new = s / wsum
+        else:
+            r_norm = np.linalg.norm(s - wsum * m)
+            r = eta / r_norm if r_norm > eta else 0.0
+            m_new = m if r_norm <= eta else (1.0 - r) * (s / wsum) + r * m
+        if np.linalg.norm(m_new - m) <= tol * (1.0 + np.linalg.norm(m)):
+            return m_new, step, True
+        m = m_new
+    return m, max_iter, False
+
+
+def _batch(d, rng):
+    """(name, rows, start) of blocks for one `_weiszfeld_blocks` batch: empty
+    blocks first, in the middle and last, and iterates that start on a data
+    point that is the median (p between pairs p +- v) and on one that is not
+    (the row farthest from the mean)."""
+    empty = np.empty((0, d))
+    p, v = rng.normal(size=d), rng.normal(size=(3, d))
+    spread = rng.normal(size=(12, d))
+    far = spread[np.argmax(np.linalg.norm(spread - spread.mean(axis=0), axis=1))]
+    heavy = rng.standard_t(1, size=(25, d)) * 100.0
+    return [("empty first", empty, rng.normal(size=d)),
+            ("gaussian", rng.normal(size=(30, d)), np.full(d, 1.0)),
+            ("heavy tailed", heavy, rng.normal(size=d)),
+            ("empty middle", empty, rng.normal(size=d)),
+            ("median point", np.vstack([p + v, p, p - v]), p),
+            ("leaves a point", spread, far),
+            ("one row", rng.normal(size=(1, d)), np.zeros(d)),
+            ("empty last", empty, rng.normal(size=d))]
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 130])
+def test_weiszfeld_blocks_match_a_scalar_reference_per_block(d):
+    blocks = _batch(d, np.random.default_rng(d))
+    x = np.vstack([rows for _, rows, _ in blocks])
+    bounds = np.concatenate([[0], np.cumsum([rows.shape[0] for _, rows, _ in blocks])])
+    starts = np.array([start for _, _, start in blocks])
+    for max_iter in (500, 3):
+        points, steps, converged = _weiszfeld_blocks(x, bounds, starts, 1e-10, max_iter)
+        for j, (name, rows, start) in enumerate(blocks):
+            ref, ref_steps, ref_converged = _reference_block(rows, start, 1e-10, max_iter)
+            assert points[j].tobytes() == ref.tobytes(), (name, max_iter)
+            assert (steps[j], converged[j]) == (ref_steps, ref_converged), (name, max_iter)
+        named = {name: j for j, (name, _, _) in enumerate(blocks)}
+        assert (steps[named["median point"]], converged[named["median point"]]) == (1, True)
+        assert points[named["median point"]].tobytes() == starts[named["median point"]].tobytes()
+        assert points[named["leaves a point"]].tobytes() != starts[named["leaves a point"]].tobytes()
+        live = np.diff(bounds) > 0
+        if max_iter == 500:   # blocks retire at different steps, all converged
+            assert converged.all() and len(set(steps[live].tolist())) >= 3
+        else:                 # the cap stops some blocks, others retire before it
+            assert not converged.all() and converged[live].any()
+            assert steps.max() == max_iter
 
 
 def _nelder_mead_optimum(x):
