@@ -81,8 +81,11 @@ def _reference_block(x, m, tol, max_iter):
             m_new = s / wsum
         else:
             r_norm = np.linalg.norm(s - wsum * m)
-            r = eta / r_norm if r_norm > eta else 0.0
-            m_new = m if r_norm <= eta else (1.0 - r) * (s / wsum) + r * m
+            if r_norm <= eta:           # m is the median
+                m_new = m
+            else:
+                r = eta / r_norm
+                m_new = (1.0 - r) * (s / wsum) + r * m
         if np.linalg.norm(m_new - m) <= tol * (1.0 + np.linalg.norm(m)):
             return m_new, step, True
         m = m_new
