@@ -8,7 +8,10 @@ from surviving as long-lived singletons and yields initial centers that
 are stable under heavy-tailed contamination.
 
 The spanning tree is exact, from Borůvka rounds on a kd-tree, and its
-weights equal `np.linalg.norm` of the row differences bit for bit.
+weights equal `np.linalg.norm(x[u] - x[v], axis=1)` bit for bit; that form
+adds the squares in a fixed order on every BLAS, while the 1-D
+`np.linalg.norm(x[u] - x[v])` of one pair is a BLAS dot product and can
+differ in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ _ATOM = 64          # points in a piece (see _Boruvka.shape_pieces)
 
 def _weights(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Edge weights |x[u] - x[v]|, equal to `np.linalg.norm(x[u] - x[v],
-    axis=1)` bit for bit."""
+    axis=1)` bit for bit (not to the 1-D norm of one pair, a BLAS dot product)."""
     w = np.empty(u.shape[0])
     for s in range(0, u.shape[0], _BLOCK):
         t = slice(s, s + _BLOCK)
@@ -461,9 +464,9 @@ def _spanning_tree(x: np.ndarray):
 
     Exact: ordered by the key (w, min end, max end), the edges have one
     minimum spanning tree, and with distinct weights it is the one every
-    exact algorithm finds. Weights equal `np.linalg.norm(x[u] - x[v])` bit
-    for bit. Returns (u, v, w) arrays in key order, u the end nearer
-    vertex 0. About O(n log n) time for small d, O(n (d + 8)) memory.
+    exact algorithm finds. Weights equal `np.linalg.norm(x[u] - x[v], axis=1)`
+    bit for bit (see `_weights`). Returns (u, v, w) arrays in key order, u the
+    end nearer vertex 0. About O(n log n) time for small d, O(n (d + 8)) memory.
     """
     eu, ev, ew = _Boruvka(x).edges()
     # orient every edge from the end nearer vertex 0 to the farther

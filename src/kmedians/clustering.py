@@ -24,13 +24,15 @@ returns that best iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from ._genie import GenieHierarchy
 from ._utils import _sq_dists, as_codebook, as_count, as_points, pairwise_distances, spawn_rng
-from .geomedian import AsgConfig, _asg_stream, _asg_update, _weiszfeld_blocks
+from .geomedian import AsgConfig, _asg_stream, _asg_update, _rows, _sumsq, _weiszfeld_blocks
 from .geomedian import weiszfeld_median  # noqa: F401  (perfbench/tracing.py hooks this name)
 
 __all__ = [
@@ -340,7 +342,8 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     takes a Robbins-Monro step of size c_gamma / (n_r + 1)**alpha toward
     the point; per-center counters start at 1 so the initial centers carry
     one observation's weight in the averages. The pass costs O(k n d)
-    arithmetic; the default Genie init builds an exact minimum spanning
+    arithmetic on Python floats, every distance a `_sumsq` as in
+    `_asg_update`; the default Genie init builds an exact minimum spanning
     tree before it, in about O(n log n) time for small d.
     """
     x = as_points(points)
@@ -349,19 +352,24 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     cfg = cfg or AsgConfig()
     init = init or InitMethod()
 
-    m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
-    m_bar = m.copy()
+    m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM)).tolist()
+    m_bar = list(m)
     counts = [1] * k
-    # the order is drawn as asg_median draws it, so k=1 at one pass equals it
+    # the order is drawn as asg_median draws it, so k=1 at one pass equals it;
+    # the pass runs on Python floats, as `_asg_stream` does
     order = spawn_rng(seed).permutation(n)
-    for idx in order:
-        xi = x[idx]
-        r = int(np.argmin(np.linalg.norm(m_bar - xi, axis=1)))
+    for xi in _rows(x, order):
+        r, nearest = 0, math.inf
+        for j, c in enumerate(m_bar):
+            dist = math.sqrt(_sumsq(list(map(sub, xi, c))))
+            if dist < nearest:            # ties to the lowest index
+                r, nearest = j, dist
         m[r], m_bar[r] = _asg_update(xi, m[r], m_bar[r], counts[r], cfg.c_gamma, cfg.alpha)
         counts[r] += 1
 
-    labels, dmin = _nearest(x, m_bar)
-    return ClusteringResult(centers=m_bar, labels=labels, distortion=float(dmin.mean()),
+    centers = np.array(m_bar)
+    labels, dmin = _nearest(x, centers)
+    return ClusteringResult(centers=centers, labels=labels, distortion=float(dmin.mean()),
                             iterations=n, restarts_used=1, algorithm="online")
 
 

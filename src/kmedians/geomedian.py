@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
 from ._utils import _sq_dists, as_count, as_points, pairwise_distances, spawn_rng
 
 __all__ = ["MedianEstimate", "AsgConfig", "l1_objective", "weiszfeld_median", "asg_median"]
+
+_ROWS = 4096   # rows of an ASG stream converted to Python floats at a time
 
 
 @dataclass
@@ -102,8 +105,10 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
 
 
 def _rowdot(v: np.ndarray) -> np.ndarray:
-    """v[i] @ v[i] for every row, by the dot product np.linalg.norm(v[i]) squares."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    """v[i] @ v[i] for every row, added in the order of `_utils._sq_dists`: its square
+    root equals np.linalg.norm(v, axis=1) bit for bit (not the 1-D np.linalg.norm(v[i]),
+    a BLAS dot product whose rounding depends on the CPU kernel)."""
+    return np.add.reduce(v * v, axis=1)
 
 
 def _vardi_zhang(s: np.ndarray, wsum: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -199,28 +204,66 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     return m, steps, converged
 
 
+def _sumsq(values) -> float:
+    """The sum of squares of a list of Python floats, added in the order of
+    `_utils._sq_dists`: one by one below 8 terms, 8 lanes combined as a tree and
+    then the tail up to 128, halves beyond. It equals np.add.reduce(t * t) and the
+    square of np.linalg.norm(t[None], axis=1) bit for bit, on every BLAS."""
+    n = len(values)
+    if n < 8:
+        s = 0.0
+        for v in values:
+            s += v * v
+        return s
+    if n <= 128:
+        sq = [v * v for v in values]
+        stop = n - n % 8
+        r = sq[:8]
+        for i in range(8, stop, 8):
+            r = list(map(add, r, sq[i:i + 8]))
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in sq[stop:]:
+            s += v
+        return s
+    half = n // 2 - (n // 2) % 8
+    return _sumsq(values[:half]) + _sumsq(values[half:])
+
+
 def _asg_update(xi, m, m_bar, count, c_gamma, alpha):
     """One averaged Robbins-Monro update by the point xi; returns (m, m_bar).
 
-    The step is c_gamma / (count + 1)**alpha, and the new iterate enters the
+    xi, m and m_bar are lists of Python floats and `count` is a Python int (numpy's
+    integer power can differ in the last bit). The step is c_gamma / (count + 1)**alpha
+    / |xi - m| along xi - m, |xi - m|**2 from `_sumsq`, and the new iterate enters the
     average with weight 1 / (count + 1); a point on the iterate gives no step.
-    `count` is a Python int: numpy's integer power can differ in the last bit.
     """
-    diff = xi - m
-    nrm = math.sqrt(diff @ diff)   # a Python float keeps the scalar arithmetic cheap
-    if nrm > 0.0:
-        m = m + (c_gamma / (count + 1) ** alpha / nrm) * diff
-    return m, m_bar + (m - m_bar) / (count + 1)
+    diff = list(map(sub, xi, m))
+    s = _sumsq(diff)
+    if s > 0.0:
+        step = c_gamma / (count + 1) ** alpha / math.sqrt(s)
+        m = [a + step * t for a, t in zip(m, diff)]
+    count += 1
+    return m, [b + (a - b) / count for a, b in zip(m, m_bar)]
+
+
+def _rows(x, order):
+    """The rows x[order] as lists of Python floats, converted _ROWS at a time: as
+    lists they take 5-7 times the bytes of the array at d = 3..10, so a stream
+    holds only one block of them whatever its length."""
+    for lo in range(0, len(order), _ROWS):
+        yield from x[order[lo:lo + _ROWS]].tolist()
 
 
 def _asg_stream(x, order, m, c_gamma, alpha):
     """One averaged stochastic gradient stream: the average starts at m with
-    a count of 1, `_asg_update` runs over every index in `order` (all the
-    passes of a fit, concatenated), and the average is returned."""
-    m_bar = m.copy()
-    for count, idx in enumerate(order, start=1):
-        m, m_bar = _asg_update(x[idx], m, m_bar, count, c_gamma, alpha)
-    return m_bar
+    a count of 1, `_asg_update` runs over the rows x[order] (all the passes of
+    a fit, concatenated), and the average is returned as a float array. The
+    stream runs on Python floats: per point, plain float arithmetic costs less
+    than numpy's call overhead on a few coordinates."""
+    m = m_bar = m.tolist()
+    for count, xi in enumerate(_rows(x, order), start=1):
+        m, m_bar = _asg_update(xi, m, m_bar, count, c_gamma, alpha)
+    return np.array(m_bar)
 
 
 def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0,

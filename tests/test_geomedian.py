@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from kmedians import AsgConfig, asg_median, l1_objective, weiszfeld_median
-from kmedians.geomedian import _weiszfeld_blocks
+from kmedians.geomedian import _ROWS, _asg_stream, _rows, _sumsq, _weiszfeld_blocks
 
 
 def test_l1_objective_values():
@@ -62,6 +62,12 @@ def test_weiszfeld_errors():
                 solver([[0.0, 1.0], [2.0, 3.0]], start=start)
 
 
+def _norm(v):
+    """|v| summed as np.linalg.norm(., axis=1) sums a row, as the library does; the
+    1-D np.linalg.norm(v) is a BLAS dot product, rounded by the CPU's kernel."""
+    return np.linalg.norm(v[None], axis=1)[0]
+
+
 def _reference_block(x, m, tol, max_iter):
     """Scalar Weiszfeld on one block: (point, steps, converged). The plain step
     while m sits on no row, the Vardi-Zhang step where it sits on eta rows,
@@ -80,13 +86,13 @@ def _reference_block(x, m, tol, max_iter):
         if eta == 0:
             m_new = s / wsum
         else:
-            r_norm = np.linalg.norm(s - wsum * m)
+            r_norm = _norm(s - wsum * m)
             if r_norm <= eta:           # m is the median
                 m_new = m
             else:
                 r = eta / r_norm
                 m_new = (1.0 - r) * (s / wsum) + r * m
-        if np.linalg.norm(m_new - m) <= tol * (1.0 + np.linalg.norm(m)):
+        if _norm(m_new - m) <= tol * (1.0 + _norm(m)):
             return m_new, step, True
         m = m_new
     return m, max_iter, False
@@ -309,6 +315,52 @@ def test_asg_agrees_with_weiszfeld_gaussian():
 def test_asg_errors():
     with pytest.raises(ValueError):
         asg_median(np.empty((0, 2)))
+
+
+def _spread(rng, shape):
+    """Normal draws times factors over 2**-30..2**30, so the order of a sum shows."""
+    return rng.standard_normal(shape) * np.exp2(rng.integers(-30, 31, size=shape))
+
+
+def test_sumsq_adds_in_numpy_order():
+    rng = np.random.default_rng(31)
+    for n in range(1, 301):
+        for _ in range(5):
+            t = _spread(rng, n)
+            assert _sumsq(t.tolist()) == np.add.reduce(t * t), n
+
+
+def _reference_stream(x, order, m, c_gamma, alpha):
+    """The ASG stream in numpy, |xi - m| by np.linalg.norm(., axis=1)."""
+    m, m_bar = m.copy(), m.copy()
+    for count, i in enumerate(order, start=1):
+        diff = x[i] - m
+        nrm = _norm(diff)
+        if nrm > 0:
+            m = m + (c_gamma / (count + 1) ** alpha / nrm) * diff
+        m_bar = m_bar + (m - m_bar) / (count + 1)
+    return m_bar
+
+
+def test_stream_rows_cross_blocks():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((50, 3))
+    for length in (1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3):
+        order = rng.integers(50, size=length)
+        assert list(_rows(x, order)) == x[order].tolist(), length
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 130])
+def test_asg_stream_matches_numpy_reference(d):
+    rng = np.random.default_rng(d)
+    x = _spread(rng, (60, d))
+    x[7] = x[3]                       # a repeated row, which can meet the iterate
+    order = np.concatenate([rng.permutation(60) for _ in range(3)])
+    for m in (np.median(x, axis=0), x[order[0]]):   # the second makes the first step 0
+        for c_gamma, alpha in ((1.0, 0.75), (2.5, 0.6)):
+            got = _asg_stream(x, order, m, c_gamma, alpha)
+            assert got.dtype == np.float64
+            assert got.tobytes() == _reference_stream(x, order, m, c_gamma, alpha).tobytes()
 
 
 def test_medians_stay_near_the_bulk_under_half_contamination():
