@@ -8,10 +8,8 @@ from surviving as long-lived singletons and yields initial centers that
 are stable under heavy-tailed contamination.
 
 The spanning tree is exact, from Borůvka rounds on a kd-tree, and its
-weights equal `np.linalg.norm(x[u] - x[v], axis=1)` bit for bit; that form
-adds the squares in a fixed order on every BLAS, while the 1-D
-`np.linalg.norm(x[u] - x[v])` of one pair is a BLAS dot product and can
-differ in the last bit.
+weights equal `np.linalg.norm(x[u] - x[v], axis=1)` bit for bit, a fixed
+order on every BLAS (the 1-D norm of one pair is a BLAS dot product).
 """
 
 from __future__ import annotations

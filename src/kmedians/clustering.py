@@ -355,8 +355,7 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM)).tolist()
     m_bar = list(m)
     counts = [1] * k
-    # the order is drawn as asg_median draws it, so k=1 at one pass equals it;
-    # the pass runs on Python floats, as `_asg_stream` does
+    # the order is drawn as asg_median draws it, so k=1 at one pass equals it
     order = spawn_rng(seed).permutation(n)
     for xi in _rows(x, order):
         r, nearest = 0, math.inf
