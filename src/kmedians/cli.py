@@ -253,6 +253,8 @@ def _clustering_block(result) -> dict:
         "restarts_used": result.restarts_used,
         "stop_reason": result.stop_reason,
         "median_cap_hits": result.median_cap_hits,
+        "median_batch_steps": result.median_batch_steps,
+        "median_block_steps": result.median_block_steps,
     }
 
 

@@ -69,7 +69,10 @@ class ClusteringResult:
     (semi_online only) or "cap" (max_iter reached; also online, whose one
     pass has no convergence test). `median_cap_hits` counts the Weiszfeld
     solves of the kept offline restart, one per cluster and Lloyd iteration,
-    that stopped at their iteration cap unconverged; it is 0 for the other
+    that stopped at their iteration cap unconverged; `median_batch_steps`
+    the steps of its Weiszfeld batches, one batch per Lloyd iteration and as
+    many steps as its longest solve; `median_block_steps` the steps of its
+    solves, summed over the clusters. All three are 0 for the other
     algorithms.
     """
 
@@ -81,6 +84,8 @@ class ClusteringResult:
     algorithm: str
     stop_reason: str = "cap"
     median_cap_hits: int = 0
+    median_batch_steps: int = 0
+    median_block_steps: int = 0
 
 
 @dataclass
@@ -213,13 +218,17 @@ def _blocks(x, labels, k):
 
 def _median_step(tol, max_iter):
     """Offline M-step: the Weiszfeld median of every cluster from its center,
-    one `_weiszfeld_blocks` batch over all clusters. `m_step.cap_hits` counts
-    the clusters, over every call, whose solve ended unconverged at max_iter."""
+    one `_weiszfeld_blocks` batch over all clusters. Over every call,
+    `m_step.cap_hits` counts the clusters whose solve ended unconverged at
+    max_iter, `m_step.batch_steps` the steps of the batches (each as many as
+    its longest solve) and `m_step.block_steps` the steps of the solves."""
     def m_step(xs, bounds, centers):
-        points, _, converged = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
+        points, steps, converged = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
         m_step.cap_hits += int(np.count_nonzero(~converged))
+        m_step.batch_steps += int(steps.max())
+        m_step.block_steps += int(steps.sum())
         return points
-    m_step.cap_hits = 0
+    m_step.cap_hits = m_step.batch_steps = m_step.block_steps = 0
     return m_step
 
 
@@ -292,7 +301,8 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
     with the lowest mean distance to the nearest center (squared for kmeans) is
     kept; semi_online restarts also stop at a distortion plateau (see
     `_lloyd_once`). Returns (centers, labels, distortion, iterations, restarts
-    run, stop reason and Weiszfeld cap hits of the kept restart).
+    run, and the kept restart's stop reason, Weiszfeld cap hits, batch steps and
+    block steps).
     """
     fixed_init = None
     if init.kind != "plus_plus_l1":
@@ -307,11 +317,12 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
         centers, labels, iterations, dmin, stop = _lloyd_once(
             x, centers0, m_step, max_iter, plateau=algorithm == "semi_online")
         distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
-        cap_hits = m_step.cap_hits if algorithm == "offline" else 0
+        counts = ((m_step.cap_hits, m_step.batch_steps, m_step.block_steps)
+                  if algorithm == "offline" else (0, 0, 0))
         if best is None or distortion < best[2]:
-            best = centers, labels, distortion, iterations, stop, cap_hits
-    centers, labels, distortion, iterations, stop, cap_hits = best
-    return centers, labels, distortion, iterations, n_start, stop, cap_hits
+            best = centers, labels, distortion, iterations, stop, counts
+    centers, labels, distortion, iterations, stop, counts = best
+    return centers, labels, distortion, iterations, n_start, stop, *counts
 
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
@@ -399,8 +410,9 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    centers, labels, distortion, iterations, used, stop, cap_hits = _best_of_restarts(
-        x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol)
+    centers, labels, distortion, iterations, used, stop, cap_hits, batch_steps, block_steps = (
+        _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol))
     return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
                             iterations=iterations, restarts_used=used, algorithm=algorithm,
-                            stop_reason=stop, median_cap_hits=cap_hits)
+                            stop_reason=stop, median_cap_hits=cap_hits,
+                            median_batch_steps=batch_steps, median_block_steps=block_steps)

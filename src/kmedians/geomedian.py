@@ -105,10 +105,12 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
 
 
 def _rowdot(v: np.ndarray) -> np.ndarray:
-    """v[i] @ v[i] for every row, added in the order of `_utils._sq_dists`: its square
-    root equals np.linalg.norm(v, axis=1) bit for bit (not the 1-D np.linalg.norm(v[i]),
-    a BLAS dot product whose rounding depends on the CPU kernel)."""
-    return np.add.reduce(v * v, axis=1)
+    """v[i] @ v[i] for every row, added in the order of `_utils._sq_dists` whatever the
+    memory layout of v: its square root equals np.linalg.norm(v, axis=1) of a C-ordered v
+    bit for bit (not the 1-D np.linalg.norm(v[i]), a BLAS dot product whose rounding
+    depends on the CPU kernel). An F-ordered product would be summed down its columns,
+    one term at a time, so it is made C-ordered first."""
+    return np.add.reduce(np.ascontiguousarray(v * v), axis=1)
 
 
 def _vardi_zhang(s: np.ndarray, wsum: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -132,22 +134,24 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     package's only Weiszfeld solver.
 
     Block j starts at starts[j]. The blocks still iterating share one working
-    copy of their rows, stored column by column, and a step is a handful of
-    whole-array passes over it: distances row by row as np.linalg.norm adds
-    them, each row's center by np.repeat, coordinate sums by np.bincount
-    (sequential, as numpy sums along axis 0), weight totals block by block
-    (pairwise, as numpy sums a 1-D array; so are the coordinate sums when
-    d = 1, where the axis-0 sum runs down one contiguous column). The step
-    moves m to the average of the rows weighted by 1 / |x - m|. Rows on the
-    iterate (distance exactly 0) get weight 0 and their block takes the
-    `_vardi_zhang` step, which stops at a median data point and leaves any
-    other, so no block stalls where the plain step is undefined.
+    copy of their rows, stored column by column with a row of ones under the
+    d coordinates, and a step is a handful of whole-array passes over it:
+    distances over the d coordinates as np.linalg.norm adds them, each row's
+    center by np.repeat, then one np.add.reduceat of the copy times the
+    weights, whose first d rows are the blocks' coordinate sums and whose
+    last row is their weight totals. Each such sum is the block's first row
+    plus numpy's pairwise sum of its other rows; no sum goes through BLAS.
+    The step moves m to the average of the rows weighted by 1 / |x - m|. Rows
+    on the iterate (distance exactly 0) get weight 0 and their block takes
+    the `_vardi_zhang` step, which stops at a median data point and leaves
+    any other, so no block stalls where the plain step is undefined.
 
     A block stops once converged, when ||m_new - m|| <= tol * (1 + ||m||), or
     after max_iter steps; its rows then leave the working copy, which only
     shrinks and is never gathered from x again. An empty block keeps its
-    start and counts as converged. Returns (points, steps, converged), one
-    entry per block.
+    start and counts as converged; only nonempty blocks iterate, so every
+    segment of the reduceat is nonempty. Returns (points, steps, converged),
+    one entry per block.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -158,36 +162,26 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     converged = sizes == 0
     active = np.flatnonzero(sizes > 0)        # the blocks still iterating, in order
     na = sizes[active]                        # their sizes
+    first = np.cumsum(na) - na                # their first rows in the working copy
     cur = m[active]                           # their iterates
-    xa = np.ascontiguousarray(x[bounds[0]:bounds[-1]].T)   # their rows, column by column
-    wx_buf = np.empty(xa.size)
+    xa = np.ones((d + 1, bounds[-1] - bounds[0]))   # their rows, column by column, and ones
+    xa[:d] = x[bounds[0]:bounds[-1]].T
     step = 0
-    laid_out = False
     while active.size and step < max_iter:
-        if not laid_out:                      # index the blocks of the working copy
-            ka, rows = active.size, xa.shape[1]
-            within = np.repeat(np.arange(ka), na)             # active block of every row
-            bins = (within * d + np.arange(d)[:, None]).ravel()   # (block, coordinate) of xa
-            hi = np.cumsum(na)
-            spans = list(zip((hi - na).tolist(), hi.tolist()))
-            laid_out = True
-        dist = _sq_dists(xa, np.repeat(cur.T, na, axis=1))
+        dist = _sq_dists(xa, np.repeat(cur.T, na, axis=1), 0, d)
         w = np.sqrt(dist, out=dist)
         hit = None
         if not w.all():
             hit = w == 0.0
             w[hit] = np.inf                   # weight 0
         np.reciprocal(w, out=w)
-        wx = np.multiply(w, xa, out=wx_buf[:d * rows].reshape(d, rows))
-        wsum = np.array([np.add.reduce(w[a:b]) for a, b in spans])
-        if d == 1:
-            s = np.array([np.add.reduce(wx[0, a:b]) for a, b in spans])[:, None]
-        else:
-            s = np.bincount(bins, weights=wx.ravel(), minlength=ka * d).reshape(ka, d)
+        sums = np.add.reduceat(xa * w, first, axis=1)
+        s, wsum = sums[:d].T, sums[d]
         if hit is None:
             m_new = s / wsum[:, None]
         else:
-            m_new = _vardi_zhang(s, wsum, cur, np.bincount(within[hit], minlength=ka))
+            within = np.repeat(np.arange(active.size), na)    # active block of every row
+            m_new = _vardi_zhang(s, wsum, cur, np.bincount(within[hit], minlength=active.size))
         # a block that stays on its median point moves by 0, which always passes
         done = np.sqrt(_rowdot(m_new - cur)) <= tol * (1.0 + np.sqrt(_rowdot(cur)))
         cur = m_new
@@ -198,7 +192,7 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
             keep = ~done
             xa = xa[:, np.repeat(keep, na)]
             active, na, cur = active[keep], na[keep], cur[keep]
-            laid_out = False
+            first = np.cumsum(na) - na
     m[active] = cur
     steps[active] = step
     return m, steps, converged

@@ -19,8 +19,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Prints one sha256 per output: a control of BLAS dot products, which the
-# kernels round differently, then the fits of every algorithm, both medians
-# and the row norms of the Weiszfeld stop test.
+# kernels round differently, then the fits of every algorithm, an offline fit
+# at d = 10, both medians and the row norms of the Weiszfeld stop test.
 CHILD = """
 import hashlib, json
 import numpy as np
@@ -38,6 +38,10 @@ x = make_scenario("s2", seed=1).points[:600]
 for algorithm in kmedians.ALGORITHMS:
     r = kmedians.run_clustering(x, 4, algorithm, seed=1, n_start=2, max_iter=15)
     out[algorithm] = digest(r.centers, r.labels, r.distortion)
+# at d = 10 the Weiszfeld distances take the 8-lane path of `_sq_dists`
+s1 = make_scenario("s1", seed=1).points[:600]
+r = kmedians.run_clustering(s1, 6, "offline", seed=1, n_start=2, max_iter=15)
+out["offline_s1"] = digest(r.centers, r.labels, r.distortion)
 out["asg_median"] = digest(kmedians.asg_median(x, kmedians.AsgConfig(passes=2), seed=1).point)
 out["weiszfeld_median"] = digest(kmedians.weiszfeld_median(x, tol=1e-12).point)
 # the row norms of Weiszfeld's stop test, which the fits above meet far from its bound

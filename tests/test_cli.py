@@ -114,9 +114,11 @@ def test_report_counts_the_capped_median_solves(tmp_path, monkeypatch):
         assert run_cli("cluster", "--input", data, "--k", 2, "--median-tol", 1e-12,
                        "--out", out) == 0
         clustering = json.loads((out / "report.json").read_text())["clustering"]
-        expected = kmedians.run_clustering(pts, 2, "offline", median_tol=1e-12).median_cap_hits
-        assert clustering["median_cap_hits"] == expected, cap
-        assert (expected > 0) == (cap == 1)
+        r = kmedians.run_clustering(pts, 2, "offline", median_tol=1e-12)
+        for key in ("median_cap_hits", "median_batch_steps", "median_block_steps"):
+            assert clustering[key] == getattr(r, key), (cap, key)
+        assert (r.median_cap_hits > 0) == (cap == 1)
+        assert r.median_batch_steps >= r.iterations
 
 
 def test_input_and_scenario_conflict(tmp_path):

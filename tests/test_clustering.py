@@ -398,6 +398,14 @@ def _norm(v):
     return np.linalg.norm(v[None], axis=1)[0]
 
 
+def _first_plus_rest(w, x):
+    """(coordinate sums, weight total) of the rows x weighted by w, each the first
+    term plus numpy's pairwise sum of the others, as np.add.reduceat adds a block.
+    w * x.T comes out F-ordered, and an axis-1 sum over that runs sequentially."""
+    wx = np.ascontiguousarray(w * x.T)
+    return wx[:, 0] + wx[:, 1:].sum(axis=1), w[0] + w[1:].sum()
+
+
 def _reference_weiszfeld(x, m, tol, max_iter, coincident=None):
     """Scalar Weiszfeld from m: the plain step while m sits on no point of x, and
     the Vardi-Zhang step where it sits on eta of them, those points weighing 0.
@@ -408,8 +416,7 @@ def _reference_weiszfeld(x, m, tol, max_iter, coincident=None):
         on = d == 0.0
         w = np.zeros_like(d)
         w[~on] = 1.0 / d[~on]
-        s = (w[:, None] * x).sum(axis=0)
-        wsum = w.sum()
+        s, wsum = _first_plus_rest(w, x)
         eta = int(on.sum())
         if eta == 0:
             m_new = s / wsum
@@ -466,9 +473,11 @@ def _lloyd_cases():
     # by symmetry the first step from (0, 0.5) lands exactly on the point (0, 0)
     x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
     yield "lands on a point", x, np.array([[0.0, 0.5], [100.3, 0.3]])
-    # the first step from (0, 0) lands exactly on (0, 2), which is not the median
-    x = np.array([[3.0, 4.0], [-3.0, 4.0], [6.0, 8.0], [-6.0, 8.0], [0.0, -2.0], [0.0, 2.0],
-                  [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
+    # the first step from (0, 0) lands exactly on (0, 1), which is not the median:
+    # every distance from (0, 0) is a power of two, so every weight, product and
+    # partial sum is exact whatever the order of summation (sums (0, 4), total 4)
+    x = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 4.0], [0.0, 8.0], [1.0, 0.0], [-1.0, 0.0],
+                  [16.0, 0.0], [-16.0, 0.0], [100.0, 0.0], [101.0, 0.0], [100.0, 1.0]])
     yield "lands off the median", x, np.array([[0.0, 0.0], [100.3, 0.3]])
     # all centers start on one point: two are empty and re-seeded one after the
     # other, and the first M-step must see the labels assigned after that
@@ -591,16 +600,17 @@ def test_semi_online_stops_before_the_cap():
     assert r.iterations < 100
 
 
-# Offline and kmeans fits, pinned from the commit before the semi_online plateau
-# stop: (sha256 of centers and int64 labels, first 16 hex digits; distortion as
-# float.hex; iterations; restarts). Their Lloyd loop stops on repeated labels only.
+# Offline and kmeans fits: (sha256 of centers and int64 labels, first 16 hex
+# digits; distortion as float.hex; iterations; restarts). The kmeans entries are
+# pinned from the commit before the semi_online plateau stop, the offline ones
+# from the one-reduceat Weiszfeld sums. Their Lloyd loop stops on repeated labels only.
 _PINNED_FITS = {
-    ("s2", "offline", "robust_hierarchical", 5): ("543136474a3a4345", "0x1.8c50b55a74fc9p+0", 7, 1),
-    ("s2", "offline", "plus_plus_l1", 3): ("db4f6a7ae1019dd8", "0x1.8c50b55a7541ep+0", 11, 3),
+    ("s2", "offline", "robust_hierarchical", 5): ("62013576351468ce", "0x1.8c50b55a74fc9p+0", 7, 1),
+    ("s2", "offline", "plus_plus_l1", 3): ("496d4352f702eda1", "0x1.8c50b55a7541dp+0", 11, 3),
     ("s2", "kmeans", "robust_hierarchical", 5): ("76ef021fac481a70", "0x1.65ec965289687p+1", 4, 1),
     ("s2", "kmeans", "plus_plus_l1", 3): ("44e871a9c6d12a2c", "0x1.65ec965289687p+1", 11, 3),
-    ("sphere10", "offline", "robust_hierarchical", 5): ("140d6330d8edd8ad", "0x1.4ab9f681989d4p+3", 3, 1),
-    ("sphere10", "offline", "plus_plus_l1", 3): ("7c2a24a71a8e526a", "0x1.50ff5240355dep+2", 4, 3),
+    ("sphere10", "offline", "robust_hierarchical", 5): ("7339d1803e195153", "0x1.4ab9f681989d4p+3", 3, 1),
+    ("sphere10", "offline", "plus_plus_l1", 3): ("7437554cbc106170", "0x1.50ff5240355dfp+2", 4, 3),
     ("sphere10", "kmeans", "robust_hierarchical", 5): ("e06b525b3eb13a58", "0x1.94256d03a6decp+6", 9, 1),
     ("sphere10", "kmeans", "plus_plus_l1", 3): ("40493478fcac1941", "0x1.3f18f7275163cp+5", 5, 3),
 }
@@ -679,6 +689,34 @@ def test_median_cap_hits_count_the_kept_restarts_capped_solves(monkeypatch):
     kept = min(range(len(restarts)), key=lambda i: restarts[i][0])
     assert len(restarts) == r.restarts_used == 3
     assert r.median_cap_hits == restarts[kept][1] > 0
+
+
+def test_median_step_counts_sum_the_kept_restarts_solves(monkeypatch):
+    # batch steps: the longest solve of each M-step; block steps: every solve's steps
+    x = np.random.default_rng(8).normal(size=(60, 2))
+    for algorithm in ALGORITHMS:
+        if algorithm != "offline":
+            r = run_clustering(x, 3, algorithm, n_start=2)
+            assert (r.median_batch_steps, r.median_block_steps) == (0, 0), algorithm
+    restarts, lloyd_once, blocks = [], clustering._lloyd_once, clustering._weiszfeld_blocks
+
+    def restart(*args, **kwargs):
+        restarts.append([])
+        out = lloyd_once(*args, **kwargs)
+        restarts[-1] = (out[3].mean(), [sum(c) for c in zip(*restarts[-1])])
+        return out
+
+    def solve(*args):
+        out = blocks(*args)
+        restarts[-1].append((int(out[1].max()), int(out[1].sum())))
+        return out
+    monkeypatch.setattr(clustering, "_lloyd_once", restart)
+    monkeypatch.setattr(clustering, "_weiszfeld_blocks", solve)
+    r = run_clustering(x, 3, "offline", seed=1, init=InitMethod(kind="plus_plus_l1"), n_start=3)
+    kept = min(range(len(restarts)), key=lambda i: restarts[i][0])
+    assert len(restarts) == r.restarts_used == 3
+    assert [r.median_batch_steps, r.median_block_steps] == restarts[kept][1]
+    assert r.iterations <= r.median_batch_steps < r.median_block_steps
 
 
 def test_lloyd_each_point_own_cluster():

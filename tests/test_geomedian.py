@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from kmedians import AsgConfig, asg_median, l1_objective, weiszfeld_median
-from kmedians.geomedian import _ROWS, _asg_stream, _rows, _sumsq, _weiszfeld_blocks
+from kmedians.geomedian import _ROWS, _asg_stream, _rowdot, _rows, _sumsq, _weiszfeld_blocks
 
 
 def test_l1_objective_values():
@@ -68,6 +68,14 @@ def _norm(v):
     return np.linalg.norm(v[None], axis=1)[0]
 
 
+def _first_plus_rest(w, x):
+    """(coordinate sums, weight total) of the rows x weighted by w, each the first
+    term plus numpy's pairwise sum of the others, as np.add.reduceat adds a block.
+    w * x.T comes out F-ordered, and an axis-1 sum over that runs sequentially."""
+    wx = np.ascontiguousarray(w * x.T)
+    return wx[:, 0] + wx[:, 1:].sum(axis=1), w[0] + w[1:].sum()
+
+
 def _reference_block(x, m, tol, max_iter):
     """Scalar Weiszfeld on one block: (point, steps, converged). The plain step
     while m sits on no row, the Vardi-Zhang step where it sits on eta rows,
@@ -80,8 +88,7 @@ def _reference_block(x, m, tol, max_iter):
         on = d == 0.0
         w = np.zeros_like(d)
         w[~on] = 1.0 / d[~on]
-        s = (w[:, None] * x).sum(axis=0)
-        wsum = w.sum()
+        s, wsum = _first_plus_rest(w, x)
         eta = int(on.sum())
         if eta == 0:
             m_new = s / wsum
@@ -96,6 +103,16 @@ def _reference_block(x, m, tol, max_iter):
             return m_new, step, True
         m = m_new
     return m, max_iter, False
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 130])
+def test_rowdot_adds_in_numpy_order_in_any_layout(d):
+    # an F-ordered array, such as the transposed sums of `_weiszfeld_blocks`, adds
+    # its rows pairwise as a C-ordered one does, not down its columns
+    v = np.random.default_rng(d).normal(size=(7, d)) * 10.0 ** np.arange(-3, 4)[:, None]
+    want = np.linalg.norm(v, axis=1).tobytes()
+    for layout in (v, np.asfortranarray(v)):
+        assert np.sqrt(_rowdot(layout)).tobytes() == want
 
 
 def _batch(d, rng):
