@@ -26,7 +26,6 @@ _BLOCK = 1024       # pairs per weight block, and a query block holds _BLOCK row
                     # _NEIGHBOURS: this bounds the temporaries
 _CROWD = 32         # searches in one component that call for a pivot first, and at
                     # least n / 1024, as a pivot costs a pass over all n points
-_PAIRS = 1 << 26    # point-piece pairs that one probe may bound one by one
 _ATOM = 64          # points in a piece (see _Boruvka.shape_pieces)
 
 
@@ -171,7 +170,7 @@ class _Boruvka:
             limit[comp[best[0]]] = best[2]
             seek = np.flatnonzero((near < 0) & (bound <= limit[comp]))
         if seek.shape[0]:
-            q, qw = _Search(self, seek, limit[comp[seek]], bound[seek], m).run()
+            q, qw = _Search(self, seek, limit[comp[seek]], bound[seek]).run()
             hit = q >= 0
             near[seek[hit]] = q[hit]
             bound[seek] = qw     # weight of the edge found, else the limit
@@ -268,42 +267,27 @@ class _Search:
     qw[i] hold the least edge found so far and its weight, or -1 and the
     weight it must not exceed; `run` returns them."""
 
-    def __init__(self, mst: _Boruvka, p, limit, lb, m: int):
-        self.mst, self.p, self.lb, self.m = mst, p, lb, m
+    def __init__(self, mst: _Boruvka, p, limit, lb):
+        self.mst, self.p, self.lb = mst, p, lb
         self.c = mst.comp[p]
         self.q = np.full(p.shape[0], -1)
         self.qw = limit.astype(float)
 
     def run(self):
-        mst, p, c = self.mst, self.p, self.c
+        mst, c = self.mst, self.c
         # first, for the points of small components, the nearest points in the
         # whole tree, the most promising points first, so that their finds
         # cap the others
         k = min(_WIDE, mst.n)
-        rows = np.argsort(self.lb, kind="stable")
-        small = np.bincount(mst.comp, minlength=self.m)[c[rows]] < k
-        rest = [rows[~small]]
-        rows = rows[small]
-        step = _BLOCK * _NEIGHBOURS // k
-        for s in range(0, rows.shape[0], step):
-            r = self.live(rows[s:s + step])
-            if not r.shape[0]:
-                continue
-            dist, idx = mst.tree.query(mst.xs[p[r]], k=k,
-                                       distance_upper_bound=mst.upper(self.qw[r].max()))
-            i, j = np.nonzero(idx < mst.n)
-            j = idx[i, j]
-            out = mst.comp[j] != c[r[i]]
-            self.offer(r, i[out], j[out])
-            # a row that holds k points may leave out a lighter edge
-            rest.append(r[(dist[:, -1] < np.inf) & (mst.lower(dist[:, -1]) <= self.qw[r])])
-        rows = self.live(np.concatenate(rest))
+        small = np.bincount(mst.comp, minlength=mst.m)[c] < k
+        rows = self.live(np.concatenate([np.flatnonzero(~small), self.sweep(
+            mst.tree, np.arange(mst.n), np.flatnonzero(small), k, False)]))
         if not rows.shape[0] or k == mst.n:
             return self.q, self.qw
         # then against the other components alone. A kd-tree over the
         # components halves them recursively, and each half's points are
         # searched in a kd-tree of the other half's
-        comp, m = mst.comp, self.m
+        m = mst.m
         mst.shape_pieces()
         centre = np.zeros((m, mst.xs.shape[1]))     # the mean of each component's pieces' centres
         np.add.at(centre, mst.piece_comp, mst.centre)
@@ -334,29 +318,32 @@ class _Search:
 
     def probe(self, rows, comps):
         """Offer the points p[rows] their least edges into the components
-        `comps`."""
-        rows = self.live(rows)
-        mst, p = self.mst, self.p
-        inside = np.zeros(self.m, dtype=bool)
+        `comps`. A point cannot gain from a piece farther than its limit,
+        and a piece that no point can reach need not be searched."""
+        mst = self.mst
+        inside = np.zeros(mst.m, dtype=bool)
         inside[comps] = True
         pieces = np.flatnonzero(inside[mst.piece_comp])
-        if rows.shape[0] * pieces.shape[0] <= _PAIRS:
-            # nor can a point gain from a piece farther than its limit, and a
-            # piece that no point can reach need not be searched
-            near_rows, near_pieces = self.reach(rows, pieces)
-            rows = rows[near_rows]
-            inside = np.zeros(mst.piece_comp.shape[0], dtype=bool)
-            inside[pieces[near_pieces]] = True
-            targets = np.flatnonzero(inside[mst.piece])
-        else:
-            targets = np.flatnonzero(inside[mst.comp])
+        rows = self.live(rows)
+        near_rows, near_pieces = self.reach(rows, pieces)
+        rows = rows[near_rows]
         if not rows.shape[0]:
             return
-        tree = cKDTree(mst.xs[targets])
-        k = min(2, targets.shape[0])
+        inside = np.zeros(mst.piece_comp.shape[0], dtype=bool)
+        inside[pieces[near_pieces]] = True
+        targets = np.flatnonzero(inside[mst.piece])
+        self.sweep(cKDTree(mst.xs[targets]), targets, rows, min(2, targets.shape[0]), True)
+
+    def sweep(self, tree, targets, rows, k, grow):
+        """Offer the points p[rows], the most promising first, edges to their
+        k nearest points in `tree`, a kd-tree over the points `targets`,
+        within their limits. Returns the rows that a farther target may
+        still serve; with `grow`, queries these again with 4 k first, until
+        k covers every target."""
+        mst, p = self.mst, self.p
         rows = rows[np.argsort(self.lb[rows], kind="stable")]
-        while rows.shape[0]:
-            rest = []
+        while True:
+            rest = [rows[:0]]
             step = max(1, _BLOCK * _NEIGHBOURS // k)
             for s in range(0, rows.shape[0], step):
                 r = self.live(rows[s:s + step])
@@ -366,11 +353,14 @@ class _Search:
                                        distance_upper_bound=mst.upper(self.qw[r].max()))
                 dist, idx = dist.reshape(r.shape[0], k), idx.reshape(r.shape[0], k)
                 i, j = np.nonzero(idx < targets.shape[0])
-                self.offer(r, i, targets[idx[i, j]])
+                j = targets[idx[i, j]]
+                out = mst.comp[j] != self.c[r[i]]
+                self.offer(r, i[out], j[out])
+                # a row that holds k points may leave out a lighter edge
                 rest.append(r[(dist[:, -1] < np.inf) & (mst.lower(dist[:, -1]) <= self.qw[r])])
-            if k == targets.shape[0] or not rest:
-                return
             rows = self.live(np.concatenate(rest))
+            if not grow or k == targets.shape[0] or not rows.shape[0]:
+                return rows
             k = min(4 * k, targets.shape[0])
 
     def reach(self, rows, pieces):
@@ -417,7 +407,7 @@ class _Search:
             q[r[take]], qw[r[take]] = j[take], w[take]
         # a point whose best is heavier than an edge found elsewhere in its
         # component cannot win: it need only search below that edge
-        cap = np.full(self.m, np.inf)
+        cap = np.full(self.mst.m, np.inf)
         np.minimum.at(cap, self.c, self.qw)
         over = self.qw > cap[self.c]
         self.q[over], self.qw[over] = -1, cap[self.c[over]]
@@ -439,24 +429,6 @@ def _balls(xs: np.ndarray, label: np.ndarray, count: int):
     return centre, np.maximum.reduceat(np.sqrt(r2), start)
 
 
-def _parents(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Parent of each vertex in the tree with edges (u, v), rooted at 0."""
-    ends = np.concatenate([u, v])
-    order = np.argsort(ends, kind="stable")
-    start = np.r_[0, np.cumsum(np.bincount(ends, minlength=n))]
-    other = np.concatenate([v, u])[order]
-    up = np.full(n, -1)
-    up[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in other[start[i]:start[i + 1]].tolist():
-            if up[j] < 0:
-                up[j] = i
-                stack.append(j)
-    return up
-
-
 def _spanning_tree(x: np.ndarray):
     """Minimum spanning tree of the complete Euclidean graph on the rows of x.
 
@@ -464,14 +436,11 @@ def _spanning_tree(x: np.ndarray):
     minimum spanning tree, and with distinct weights it is the one every
     exact algorithm finds. Weights equal `np.linalg.norm(x[u] - x[v], axis=1)`
     bit for bit (see `_weights`). Returns (u, v, w) arrays in key order, u the
-    end nearer vertex 0. About O(n log n) time for small d, O(n (d + 8)) memory.
+    smaller end. About O(n log n) time for small d, O(n (d + 8)) memory.
     """
     eu, ev, ew = _Boruvka(x).edges()
-    # orient every edge from the end nearer vertex 0 to the farther
-    up = _parents(x.shape[0], eu, ev)
-    flip = up[eu] == ev
-    eu, ev = np.where(flip, ev, eu), np.where(flip, eu, ev)
-    order = np.lexsort((np.maximum(eu, ev), np.minimum(eu, ev), ew))
+    eu, ev = np.minimum(eu, ev), np.maximum(eu, ev)
+    order = np.lexsort((ev, eu, ew))
     return eu[order], ev[order], ew[order]
 
 

@@ -224,6 +224,11 @@ def _reference_merge_order(x: np.ndarray, gini_threshold: float):
     return merges
 
 
+def _unoriented(merges):
+    """The merges as (smaller end, larger end) pairs."""
+    return [(min(u, v), max(u, v)) for u, v in merges]
+
+
 def _oracle_datasets():
     rng = np.random.default_rng(11)
     s2 = make_scenario("s2", seed=4)
@@ -245,7 +250,8 @@ def _oracle_datasets():
 def test_genie_merges_match_reference(x):
     before = x.copy()
     for g in (0.1, 0.3, 0.5, 1.0):
-        assert GenieHierarchy(x, g).merges == _reference_merge_order(x, g), g
+        assert _unoriented(GenieHierarchy(x, g).merges) == _unoriented(
+            _reference_merge_order(x, g)), g
     assert np.array_equal(x, before)
 
 
@@ -272,19 +278,38 @@ def test_genie_labels_match_reference(x):
             assert np.array_equal(tree.labels_at(k), _reference_labels_at(tree.merges, n, k))
 
 
-def _assert_reference_tree(x):
-    got, want = _spanning_tree(x), _reference_prim_mst(x)
-    for a, b in zip(got, want):
+def _assert_same_edges(got, want):
+    """Equal (smaller end, larger end, weight) arrays, bit for bit, dtypes too."""
+    (gu, gv, gw), (wu, wv, ww) = got, want
+    for a, b in ((np.minimum(gu, gv), np.minimum(wu, wv)),
+                 (np.maximum(gu, gv), np.maximum(wu, wv)), (gw, ww)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_reference_tree(x):
+    _assert_same_edges(_spanning_tree(x), _reference_prim_mst(x))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(n=st.integers(1, 300), d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        log_scale=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
 def test_spanning_tree_equals_reference_on_continuous_draws(n, d, seed, log_scale):
-    # edges, orientation (from vertex 0), order and weights, bit for bit
-    x = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** np.array(log_scale[:d])
+    # edges, order and weights, bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** np.array(log_scale[:d])
     _assert_reference_tree(x)
+    # and the same tree and Genie partitions whatever the order of the rows
+    perm = rng.permutation(n)
+    u, v, w = _spanning_tree(x[perm])
+    u, v = perm[u], perm[v]
+    order = np.lexsort((np.maximum(u, v), np.minimum(u, v), w))
+    _assert_same_edges((u[order], v[order], w[order]), _spanning_tree(x))
+    tree, shuffled = GenieHierarchy(x), GenieHierarchy(x[perm])
+    for k in sorted({1, 2, 5, n // 2, n} & set(range(1, n + 1))):
+        labels = np.empty(n, dtype=np.intp)
+        labels[perm] = shuffled.labels_at(k)
+        # k labels on each side, paired one to one: the same partition
+        assert len(set(zip(labels.tolist(), tree.labels_at(k).tolist()))) == k, k
 
 
 def _tree_cases():
@@ -315,7 +340,8 @@ def test_genie_merges_match_reference_on_small_draws():
     for _ in range(200):
         x = rng.normal(size=(int(rng.integers(4, 13)), 2))
         for g in (0.1, 0.3, 0.5, 1.0):
-            assert GenieHierarchy(x, g).merges == _reference_merge_order(x, g)
+            assert _unoriented(GenieHierarchy(x, g).merges) == _unoriented(
+                _reference_merge_order(x, g))
 
 
 @pytest.mark.parametrize("d", list(range(1, 21)) + [129, 200])
