@@ -56,9 +56,9 @@ def as_count(name: str, value, lo: int, hi: int | None = None, hi_name: str = ""
     return v
 
 
-def _sq_dists(cols: np.ndarray, p, lo: int = 0, d: int | None = None):
+def _sq_dists(cols: np.ndarray, p):
     """Squared distances from the points stored column by column in `cols` (d x m)
-    to `p`, over the coordinates lo..lo+d-1.
+    to `p`.
 
     `p[k]`, coordinate k of the reference, is a scalar, or an array of length
     m that gives every point its own reference. The d squared differences
@@ -68,30 +68,29 @@ def _sq_dists(cols: np.ndarray, p, lo: int = 0, d: int | None = None):
     result equals `np.linalg.norm(x - p, axis=1)` bit for bit, at a few
     whole-column operations per coordinate.
     """
-    if d is None:
-        d = cols.shape[0]
+    d = cols.shape[0]
 
     def sq(k):
         t = cols[k] - p[k]
         return np.multiply(t, t, out=t)
 
     if d < 8:
-        acc = sq(lo)
-        for k in range(lo + 1, lo + d):
+        acc = sq(0)
+        for k in range(1, d):
             acc += sq(k)
         return acc
     if d <= 128:
-        r = [sq(lo + k) for k in range(8)]
+        r = [sq(k) for k in range(8)]
         stop = d - d % 8
         for i in range(8, stop, 8):
             for k in range(8):
-                r[k] += sq(lo + i + k)
+                r[k] += sq(i + k)
         acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(lo + stop, lo + d):
+        for k in range(stop, d):
             acc += sq(k)
         return acc
     half = d // 2 - (d // 2) % 8
-    return _sq_dists(cols, p, lo, half) + _sq_dists(cols, p, lo + half, d - half)
+    return _sq_dists(cols[:half], p[:half]) + _sq_dists(cols[half:], p[half:])
 
 
 def pairwise_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:

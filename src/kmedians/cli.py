@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -242,20 +243,18 @@ def _evaluation_block(labels, true_labels, mask, est_centers, truth_centers, n=N
 
 
 def _clustering_block(result) -> dict:
-    sizes = np.bincount(result.labels, minlength=result.centers.shape[0])
-    return {
+    """The fit's algorithm, k, centers and cluster sizes, then every other
+    `ClusteringResult` field but the labels, in declaration order."""
+    block = {
         "algorithm": result.algorithm,
         "k": int(result.centers.shape[0]),
         "centers": result.centers,
-        "cluster_sizes": sizes,
-        "distortion": result.distortion,
-        "iterations": result.iterations,
-        "restarts_used": result.restarts_used,
-        "stop_reason": result.stop_reason,
-        "median_cap_hits": result.median_cap_hits,
-        "median_batch_steps": result.median_batch_steps,
-        "median_block_steps": result.median_block_steps,
+        "cluster_sizes": np.bincount(result.labels, minlength=result.centers.shape[0]),
     }
+    for f in dataclasses.fields(result):
+        if f.name not in block and f.name != "labels":
+            block[f.name] = getattr(result, f.name)
+    return block
 
 
 def _selection_block(report) -> dict:

@@ -24,15 +24,13 @@ returns that best iterate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
 from ._genie import GenieHierarchy
 from ._utils import _sq_dists, as_codebook, as_count, as_points, pairwise_distances, spawn_rng
-from .geomedian import AsgConfig, _asg_stream, _asg_update, _rows, _sumsq, _weiszfeld_blocks
+from .geomedian import AsgConfig, _asg_stream, _weiszfeld_blocks
 from .geomedian import weiszfeld_median  # noqa: F401  (perfbench/tracing.py hooks this name)
 
 __all__ = [
@@ -123,14 +121,14 @@ def _nearest(x: np.ndarray, codebook):
 
 def _check_options(algorithm: str, cfg=None, max_iter=100, n_start=5, median_tol=1e-6) -> None:
     """Refuse an unknown algorithm, a cap that is not an integer >= 1 and a median_tol that
-    is not positive. Takes `run_clustering`'s options (cfg, an AsgConfig, checks itself) as
-    keywords, so a sweep refuses them before it fits."""
+    is not positive and finite. Takes `run_clustering`'s options (cfg, an AsgConfig, checks
+    itself) as keywords, so a sweep refuses them before it fits."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     as_count("max_iter", max_iter, 1)
     as_count("n_start", n_start, 1)
-    if not median_tol > 0:
-        raise ValueError(f"median_tol must be positive, got {median_tol}")
+    if not 0 < median_tol < np.inf:
+        raise ValueError(f"median_tol must be positive and finite, got {median_tol}")
 
 
 def assign(points, codebook) -> np.ndarray:
@@ -219,16 +217,18 @@ def _blocks(x, labels, k):
 def _median_step(tol, max_iter):
     """Offline M-step: the Weiszfeld median of every cluster from its center,
     one `_weiszfeld_blocks` batch over all clusters. Over every call,
-    `m_step.cap_hits` counts the clusters whose solve ended unconverged at
-    max_iter, `m_step.batch_steps` the steps of the batches (each as many as
-    its longest solve) and `m_step.block_steps` the steps of the solves."""
+    `m_step.counts`, keyed by `ClusteringResult` fields, counts the clusters
+    whose solve ended unconverged at max_iter, the steps of the batches (each
+    as many as its longest solve) and the steps of the solves."""
+    counts = dict(median_cap_hits=0, median_batch_steps=0, median_block_steps=0)
+
     def m_step(xs, bounds, centers):
         points, steps, converged = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
-        m_step.cap_hits += int(np.count_nonzero(~converged))
-        m_step.batch_steps += int(steps.max())
-        m_step.block_steps += int(steps.sum())
+        counts["median_cap_hits"] += int(np.count_nonzero(~converged))
+        counts["median_batch_steps"] += int(steps.max())
+        counts["median_block_steps"] += int(steps.sum())
         return points
-    m_step.cap_hits = m_step.batch_steps = m_step.block_steps = 0
+    m_step.counts = counts
     return m_step
 
 
@@ -242,7 +242,7 @@ def _asg_step(cfg, rng):
             members = xs[bounds[j]:bounds[j + 1]]
             order = np.concatenate([rng.permutation(members.shape[0])
                                     for _ in range(cfg.passes)])
-            out[j] = _asg_stream(members, order, centers[j], cfg.c_gamma, cfg.alpha)
+            out[j] = _asg_stream(members, order, centers[j:j + 1], cfg.c_gamma, cfg.alpha)[0]
         return out
     return m_step
 
@@ -301,8 +301,8 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
     with the lowest mean distance to the nearest center (squared for kmeans) is
     kept; semi_online restarts also stop at a distortion plateau (see
     `_lloyd_once`). Returns (centers, labels, distortion, iterations, restarts
-    run, and the kept restart's stop reason, Weiszfeld cap hits, batch steps and
-    block steps).
+    run, diagnostics), the last the kept restart's stop reason and Weiszfeld
+    counts keyed by `ClusteringResult` fields.
     """
     fixed_init = None
     if init.kind != "plus_plus_l1":
@@ -317,12 +317,12 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
         centers, labels, iterations, dmin, stop = _lloyd_once(
             x, centers0, m_step, max_iter, plateau=algorithm == "semi_online")
         distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
-        counts = ((m_step.cap_hits, m_step.batch_steps, m_step.block_steps)
-                  if algorithm == "offline" else (0, 0, 0))
+        # only the Weiszfeld M-step counts its work; the others keep the defaults
+        diagnostics = {"stop_reason": stop, **getattr(m_step, "counts", {})}
         if best is None or distortion < best[2]:
-            best = centers, labels, distortion, iterations, stop, counts
-    centers, labels, distortion, iterations, stop, counts = best
-    return centers, labels, distortion, iterations, n_start, stop, *counts
+            best = centers, labels, distortion, iterations, diagnostics
+    centers, labels, distortion, iterations, diagnostics = best
+    return centers, labels, distortion, iterations, n_start, diagnostics
 
 
 def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod | None = None,
@@ -347,15 +347,18 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
 
 def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
                     init: InitMethod | None = None, seed: int = 0) -> ClusteringResult:
-    """Single-pass sequential K-medians.
+    """Single-pass sequential K-medians: one averaged stochastic gradient
+    stream (`geomedian._asg_stream`) over a permutation of the points,
+    drawn from default_rng(seed), for the whole initial codebook.
 
     Each point is assigned to the nearest averaged center, which then
     takes a Robbins-Monro step of size c_gamma / (n_r + 1)**alpha toward
     the point; per-center counters start at 1 so the initial centers carry
-    one observation's weight in the averages. The pass costs O(k n d)
-    arithmetic on Python floats, every distance a `_sumsq` as in
-    `_asg_update`; the default Genie init builds an exact minimum spanning
-    tree before it, in about O(n log n) time for small d.
+    one observation's weight in the averages. At k = 1 this is one pass of
+    `asg_median` with the same seed, by construction. The pass costs
+    O(k n d) arithmetic on Python floats; the default Genie init builds an
+    exact minimum spanning tree before it, in about O(n log n) time for
+    small d.
     """
     x = as_points(points)
     n = x.shape[0]
@@ -363,21 +366,8 @@ def online_kmedians(points, k: int, cfg: AsgConfig | None = None,
     cfg = cfg or AsgConfig()
     init = init or InitMethod()
 
-    m = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM)).tolist()
-    m_bar = list(m)
-    counts = [1] * k
-    # the order is drawn as asg_median draws it, so k=1 at one pass equals it
-    order = spawn_rng(seed).permutation(n)
-    for xi in _rows(x, order):
-        r, nearest = 0, math.inf
-        for j, c in enumerate(m_bar):
-            dist = math.sqrt(_sumsq(list(map(sub, xi, c))))
-            if dist < nearest:            # ties to the lowest index
-                r, nearest = j, dist
-        m[r], m_bar[r] = _asg_update(xi, m[r], m_bar[r], counts[r], cfg.c_gamma, cfg.alpha)
-        counts[r] += 1
-
-    centers = np.array(m_bar)
+    centers0 = _init_codebook(x, k, init, spawn_rng(seed, _INIT_STREAM))
+    centers = _asg_stream(x, spawn_rng(seed).permutation(n), centers0, cfg.c_gamma, cfg.alpha)
     labels, dmin = _nearest(x, centers)
     return ClusteringResult(centers=centers, labels=labels, distortion=float(dmin.mean()),
                             iterations=n, restarts_used=1, algorithm="online")
@@ -410,9 +400,8 @@ def run_clustering(points, k: int, algorithm: str, seed: int = 0, *,
     cfg = cfg or AsgConfig()
     if algorithm == "online":
         return online_kmedians(x, k, cfg=cfg, init=init, seed=seed)
-    centers, labels, distortion, iterations, used, stop, cap_hits, batch_steps, block_steps = (
+    centers, labels, distortion, iterations, used, diagnostics = (
         _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, median_tol))
     return ClusteringResult(centers=centers, labels=labels, distortion=distortion,
                             iterations=iterations, restarts_used=used, algorithm=algorithm,
-                            stop_reason=stop, median_cap_hits=cap_hits,
-                            median_batch_steps=batch_steps, median_block_steps=block_steps)
+                            **diagnostics)

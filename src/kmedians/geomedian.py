@@ -53,8 +53,8 @@ class AsgConfig:
     passes: int = 1
 
     def __post_init__(self):
-        if not self.c_gamma > 0:
-            raise ValueError(f"c_gamma must be positive, got {self.c_gamma}")
+        if not 0 < self.c_gamma < math.inf:
+            raise ValueError(f"c_gamma must be positive and finite, got {self.c_gamma}")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly between 0.5 and 1, got {self.alpha}")
         self.passes = as_count("passes", self.passes, 1)
@@ -134,13 +134,13 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     package's only Weiszfeld solver.
 
     Block j starts at starts[j]. The blocks still iterating share one working
-    copy of their rows, stored column by column with a row of ones under the
-    d coordinates, and a step is a handful of whole-array passes over it:
-    distances over the d coordinates as np.linalg.norm adds them, each row's
-    center by np.repeat, then one np.add.reduceat of the copy times the
-    weights, whose first d rows are the blocks' coordinate sums and whose
-    last row is their weight totals. Each such sum is the block's first row
-    plus numpy's pairwise sum of its other rows; no sum goes through BLAS.
+    copy of their rows, stored column by column under a row of ones, and a
+    step is a handful of whole-array passes over it: distances over the d
+    coordinate rows as np.linalg.norm adds them, each row's center by
+    np.repeat, then one np.add.reduceat of the copy times the weights, whose
+    first row is the blocks' weight totals and whose other d rows are their
+    coordinate sums. Each such sum is the block's first row plus numpy's
+    pairwise sum of its other rows; no sum goes through BLAS.
     The step moves m to the average of the rows weighted by 1 / |x - m|. Rows
     on the iterate (distance exactly 0) get weight 0 and their block takes
     the `_vardi_zhang` step, which stops at a median data point and leaves
@@ -153,8 +153,8 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     segment of the reduceat is nonempty. Returns (points, steps, converged),
     one entry per block.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     m = np.array(starts, dtype=float)
     k, d = m.shape
     sizes = np.diff(bounds)
@@ -164,11 +164,11 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     na = sizes[active]                        # their sizes
     first = np.cumsum(na) - na                # their first rows in the working copy
     cur = m[active]                           # their iterates
-    xa = np.ones((d + 1, bounds[-1] - bounds[0]))   # their rows, column by column, and ones
-    xa[:d] = x[bounds[0]:bounds[-1]].T
+    xa = np.ones((d + 1, bounds[-1] - bounds[0]))   # ones, and their rows column by column
+    xa[1:] = x[bounds[0]:bounds[-1]].T
     step = 0
     while active.size and step < max_iter:
-        dist = _sq_dists(xa, np.repeat(cur.T, na, axis=1), 0, d)
+        dist = _sq_dists(xa[1:], np.repeat(cur.T, na, axis=1))
         w = np.sqrt(dist, out=dist)
         hit = None
         if not w.all():
@@ -176,7 +176,7 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
             w[hit] = np.inf                   # weight 0
         np.reciprocal(w, out=w)
         sums = np.add.reduceat(xa * w, first, axis=1)
-        s, wsum = sums[:d].T, sums[d]
+        wsum, s = sums[0], sums[1:].T
         if hit is None:
             m_new = s / wsum[:, None]
         else:
@@ -223,23 +223,6 @@ def _sumsq(values) -> float:
     return _sumsq(values[:half]) + _sumsq(values[half:])
 
 
-def _asg_update(xi, m, m_bar, count, c_gamma, alpha):
-    """One averaged Robbins-Monro update by the point xi; returns (m, m_bar).
-
-    xi, m and m_bar are lists of Python floats and `count` is a Python int (numpy's
-    integer power can differ in the last bit). The step is c_gamma / (count + 1)**alpha
-    / |xi - m| along xi - m, |xi - m|**2 from `_sumsq`, and the new iterate enters the
-    average with weight 1 / (count + 1); a point on the iterate gives no step.
-    """
-    diff = list(map(sub, xi, m))
-    s = _sumsq(diff)
-    if s > 0.0:
-        step = c_gamma / (count + 1) ** alpha / math.sqrt(s)
-        m = [a + step * t for a, t in zip(m, diff)]
-    count += 1
-    return m, [b + (a - b) / count for a, b in zip(m, m_bar)]
-
-
 def _rows(x, order):
     """The rows x[order] as lists of Python floats, converted _ROWS at a time: as
     lists they take 5-7 times the bytes of the array at d = 3..10, so a stream
@@ -248,15 +231,37 @@ def _rows(x, order):
         yield from x[order[lo:lo + _ROWS]].tolist()
 
 
-def _asg_stream(x, order, m, c_gamma, alpha):
-    """One averaged stochastic gradient stream: the average starts at m with
-    a count of 1, `_asg_update` runs over the rows x[order] (all the passes of
-    a fit, concatenated), and the average is returned as a float array. The
-    stream runs on Python floats: per point, plain float arithmetic costs less
-    than numpy's call overhead on a few coordinates."""
-    m = m_bar = m.tolist()
-    for count, xi in enumerate(_rows(x, order), start=1):
-        m, m_bar = _asg_update(xi, m, m_bar, count, c_gamma, alpha)
+def _asg_stream(x, order, centers, c_gamma, alpha):
+    """The averaged Robbins-Monro stream over the rows x[order] (all the passes
+    of a fit, concatenated) for the (k, d) codebook `centers`; returns the k
+    averages. Each center's iterate, average and count start at the center and
+    1. A row goes to its nearest average (ties to the lowest index; no search
+    when k = 1), whose iterate steps c_gamma / (count + 1)**alpha along the
+    unit vector to the row (no step for a row on it) and enters the average
+    with weight 1 / (count + 1). Each distance is the square root of a `_sumsq`,
+    np.linalg.norm's bit for bit. The stream runs on Python floats and int
+    counts (numpy's integer power can differ in the last bit): per row, they
+    cost less than numpy's call overhead on a few coordinates."""
+    m = centers.tolist()
+    m_bar = list(m)
+    counts = [1] * len(m)
+    search = len(m) > 1
+    r = 0
+    for xi in _rows(x, order):
+        if search:
+            nearest = math.inf
+            for j, c in enumerate(m_bar):
+                dist = math.sqrt(_sumsq(list(map(sub, xi, c))))
+                if dist < nearest:
+                    r, nearest = j, dist
+        mr, count = m[r], counts[r]
+        diff = list(map(sub, xi, mr))
+        s = _sumsq(diff)
+        if s > 0.0:
+            step = c_gamma / (count + 1) ** alpha / math.sqrt(s)
+            mr = m[r] = [a + step * t for a, t in zip(mr, diff)]
+        count = counts[r] = count + 1
+        m_bar[r] = [b + (a - b) / count for a, b in zip(mr, m_bar[r])]
     return np.array(m_bar)
 
 
@@ -273,6 +278,6 @@ def asg_median(points, cfg: AsgConfig | None = None, seed: int = 0,
     m = _start(x, start)
     rng = spawn_rng(seed)
     order = np.concatenate([rng.permutation(x.shape[0]) for _ in range(cfg.passes)])
-    m_bar = _asg_stream(x, order, m, cfg.c_gamma, cfg.alpha)
+    m_bar = _asg_stream(x, order, m[None], cfg.c_gamma, cfg.alpha)[0]
     return MedianEstimate(point=m_bar, iterations=len(order), converged=True,
                           objective=l1_objective(x, m_bar))

@@ -60,10 +60,10 @@ class ContaminationSpec:
             raise ValueError(f"rho must lie in [0, 0.5], got {self.rho}")
         if self.law not in ("student", "uniform"):
             raise ValueError(f"unknown law {self.law!r}; expected 'student' or 'uniform'")
-        if self.law == "student" and self.df < 1:
-            raise ValueError(f"df must be >= 1, got {self.df}")
-        if self.law == "uniform" and not self.low < self.high:
-            raise ValueError(f"need low < high, got [{self.low}, {self.high}]")
+        if self.law == "student" and not 1 <= self.df < np.inf:
+            raise ValueError(f"df must be >= 1 and finite, got {self.df}")
+        if self.law == "uniform" and not -np.inf < self.low < self.high < np.inf:
+            raise ValueError(f"need finite low < high, got [{self.low}, {self.high}]")
 
 
 @dataclass
@@ -91,8 +91,8 @@ class LabeledDataset:
 def sphere_centers(k: int, radius: float, d: int, seed: int = 0) -> np.ndarray:
     """k i.i.d. draws from the uniform law on the radius-`radius` sphere in R^d."""
     d = as_count("d", d, 2)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     k = as_count("k", k, 1)
     rng = spawn_rng(seed)
     g = rng.standard_normal((k, d))

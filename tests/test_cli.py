@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file formats, determinism, errors."""
 
 import csv
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import kmedians.cli
-from kmedians import weiszfeld_median
+from kmedians import ALGORITHMS, ClusteringResult, weiszfeld_median
 from kmedians.cli import load_csv, main
 
 
@@ -121,6 +122,23 @@ def test_report_counts_the_capped_median_solves(tmp_path, monkeypatch):
         assert r.median_batch_steps >= r.iterations
 
 
+def test_report_lists_every_clustering_result_field(tmp_path):
+    # four leading keys, then every other ClusteringResult field but the labels in
+    # declaration order, so a new diagnostic reaches report.json as one more field
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    rest = [f.name for f in dataclasses.fields(ClusteringResult)
+            if f.name not in ("algorithm", "centers", "labels")]
+    assert rest == ["distortion", "iterations", "restarts_used", "stop_reason",
+                    "median_cap_hits", "median_batch_steps", "median_block_steps"]
+    for algorithm in ALGORITHMS:
+        out = tmp_path / algorithm
+        assert run_cli("cluster", "--input", data, "--k", 2, "--algorithm", algorithm,
+                       "--out", out) == 0
+        clustering = json.loads((out / "report.json").read_text())["clustering"]
+        assert list(clustering) == ["algorithm", "k", "centers", "cluster_sizes", *rest]
+
+
 def test_input_and_scenario_conflict(tmp_path):
     data = tmp_path / "data.csv"
     write_blobs_csv(data)
@@ -151,6 +169,19 @@ def test_malformed_row_reports_line(tmp_path, capsys):
         assert run_cli("evaluate", "--input", data, "--labels", pred,
                        "--out", tmp_path / "e") == 3
         assert f"{pred}: row 3: {problem}" in capsys.readouterr().err
+
+
+def test_infinite_fit_options_are_refused(tmp_path, capsys):
+    # a sign-only check lets inf through: the online codebook then turns non-finite,
+    # and every Weiszfeld solve stops after one step as converged
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    for argv, name in ((("--algorithm", "online", "--c-gamma", "inf"), "c_gamma"),
+                       (("--median-tol", "inf"), "median_tol")):
+        out = tmp_path / "out"
+        assert run_cli("cluster", "--input", data, "--k", 2, *argv, "--out", out) == 3
+        assert f"{name} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_repeated_column_name_is_refused(tmp_path, capsys):

@@ -790,7 +790,7 @@ def test_lloyd_validation():
         for name in ("max_iter", "n_start"):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 run_clustering(x, 2, algorithm, **{name: 0})
-        for tol in (0.0, -1.0, float("nan")):
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="median_tol must be positive"):
                 run_clustering(x, 2, algorithm, median_tol=tol)
 

@@ -51,8 +51,9 @@ def test_weiszfeld_errors():
     for solver in (weiszfeld_median, asg_median):
         with pytest.raises(ValueError, match="points must have at least one column"):
             solver(np.zeros((3, 0)))
-    with pytest.raises(ValueError):
-        weiszfeld_median([[0.0, 1.0]], tol=0.0)
+    for tol in (0.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            weiszfeld_median([[0.0, 1.0]], tol=tol)
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             weiszfeld_median([[0.0, 1.0]], max_iter=cap)
@@ -299,8 +300,9 @@ def test_weiszfeld_beats_grid_small_2d():
 
 
 def test_asg_config_validation():
-    with pytest.raises(ValueError):
-        AsgConfig(c_gamma=0.0)
+    for c_gamma in (0.0, np.inf):
+        with pytest.raises(ValueError, match="c_gamma must be positive and finite"):
+            AsgConfig(c_gamma=c_gamma)
     with pytest.raises(ValueError):
         AsgConfig(alpha=0.5)
     with pytest.raises(ValueError):
@@ -375,9 +377,9 @@ def test_asg_stream_matches_numpy_reference(d):
     order = np.concatenate([rng.permutation(60) for _ in range(3)])
     for m in (np.median(x, axis=0), x[order[0]]):   # the second makes the first step 0
         for c_gamma, alpha in ((1.0, 0.75), (2.5, 0.6)):
-            got = _asg_stream(x, order, m, c_gamma, alpha)
-            assert got.dtype == np.float64
-            assert got.tobytes() == _reference_stream(x, order, m, c_gamma, alpha).tobytes()
+            got = _asg_stream(x, order, m[None], c_gamma, alpha)
+            assert got.dtype == np.float64 and got.shape == (1, d)
+            assert got[0].tobytes() == _reference_stream(x, order, m, c_gamma, alpha).tobytes()
 
 
 def test_medians_stay_near_the_bulk_under_half_contamination():

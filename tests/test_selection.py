@@ -496,6 +496,7 @@ def test_slope_refuses_min_window_out_of_range_before_fitting(monkeypatch):
     for bad, message in (({"max_iter": 0}, "max_iter must be >= 1"),
                          ({"n_start": 0}, "n_start must be >= 1"),
                          ({"median_tol": 0.0}, "median_tol must be positive"),
+                         ({"median_tol": np.inf}, "median_tol must be positive and finite"),
                          ({"algorithm": "nope"}, "unknown algorithm")):
         for select in (lambda: run_selection(pts, "slope", 6, seed=0, **bad),
                        lambda: run_selection(pts, "silhouette", 6, seed=0, **bad),

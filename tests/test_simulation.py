@@ -41,8 +41,9 @@ def test_sphere_centers_distinct():
 def test_sphere_validation():
     with pytest.raises(ValueError):
         sphere_centers(3, 10.0, 1, seed=0)
-    with pytest.raises(ValueError):
-        sphere_centers(3, 0.0, 4, seed=0)
+    for radius in (0.0, np.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sphere_centers(3, radius, 4, seed=0)
     with pytest.raises(ValueError):
         sphere_centers(0, 1.0, 4, seed=0)
 
@@ -162,7 +163,9 @@ def test_contamination_spec_validation():
         ContaminationSpec(rho=-0.1)
     with pytest.raises(ValueError):
         ContaminationSpec(rho=0.1, law="gamma")
-    with pytest.raises(ValueError):
-        ContaminationSpec(rho=0.1, law="uniform", low=3.0, high=3.0)
-    with pytest.raises(ValueError):
-        ContaminationSpec(rho=0.1, law="student", df=0)
+    for df in (0, np.inf):
+        with pytest.raises(ValueError, match="df must be >= 1 and finite"):
+            ContaminationSpec(rho=0.1, law="student", df=df)
+    for low, high in ((3.0, 3.0), (-np.inf, 10.0), (-10.0, np.inf)):
+        with pytest.raises(ValueError, match="need finite low < high"):
+            ContaminationSpec(rho=0.1, law="uniform", low=low, high=high)

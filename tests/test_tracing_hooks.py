@@ -85,14 +85,18 @@ def test_traced_selectors_fit_once_per_k(monkeypatch):
 
 def test_traced_fit_counts_every_algorithm():
     # run_clustering reaches online_kmedians, _best_of_restarts and _lloyd_once
-    # through the module-level names the tracer patches
+    # through the module-level names the tracer patches; the online pass is one
+    # `_asg_stream` over the points, and offline and kmeans run none
     tracing = _load_tracing()
     x = make_scenario("s2", seed=1).points[:300]
     for algorithm in kmedians.ALGORITHMS:
         with tracing.Tracer().job(kmedians, 0) as counts:
             r = kmedians.run_clustering(x, 4, algorithm, n_start=2)
+        if algorithm in ("offline", "kmeans"):
+            assert counts["geomedian.asg_updates"] == 0, algorithm
         if algorithm == "online":
             assert counts["clustering.online_updates"] == r.iterations > 0
+            assert counts["geomedian.asg_updates"] == len(x)
             assert counts["clustering.restarts"] == counts["clustering.lloyd_iterations"] == 0
         else:
             assert counts["clustering.online_updates"] == 0, algorithm
