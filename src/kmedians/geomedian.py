@@ -249,7 +249,7 @@ def _asg_stream(x, order, centers, c_gamma, alpha):
     r = 0
     for xi in _rows(x, order):
         if search:
-            nearest = math.inf
+            r, nearest = 0, math.inf
             for j, c in enumerate(m_bar):
                 dist = math.sqrt(_sumsq(list(map(sub, xi, c))))
                 if dist < nearest:

@@ -382,6 +382,16 @@ def test_asg_stream_matches_numpy_reference(d):
             assert got[0].tobytes() == _reference_stream(x, order, m, c_gamma, alpha).tobytes()
 
 
+def test_asg_stream_tie_at_infinity_updates_the_lowest_index():
+    # the first row sits on center 1; the second is at an overflowing (infinite)
+    # distance from both centers, a tie, so it goes to center 0 and not to the
+    # center the row before it updated
+    c = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    x = np.array([[-1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+    got = _asg_stream(x, np.array([0, 1]), c, 1.0, 0.75)
+    assert got[1].tobytes() == c[1].tobytes()
+
+
 def test_medians_stay_near_the_bulk_under_half_contamination():
     # breakdown point 1/2 for one median: floor((n-1)/2) rows at 1e12 cannot carry
     # the estimate away. The exact median lies within 2 b r / (b - m) of the
