@@ -40,7 +40,7 @@ _GAP_DATA_STREAM = 11
 _GAP_REF_DATA = 12
 _GAP_REF_RUN = 13
 _SIL_STREAM = 21
-_SIL_BLOCK = 512
+_SIL_BLOCK_DISTANCES = 2**19  # 4 MiB of float64 distances per block
 
 
 @dataclass
@@ -63,6 +63,11 @@ class DistortionCurve:
             raise ValueError("ks must be contiguous ascending integers")
         if self.ks.size and not 1 <= self.ks[0] <= self.ks[-1] <= self.n:
             raise ValueError(f"ks must lie in 1..n={self.n}, got {self.ks[0]}..{self.ks[-1]}")
+        bad = ~np.isfinite(self.distortions)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"distortions must be finite, got {self.distortions[first]} "
+                             f"at k={self.ks[first]}")
         if (self.distortions < 0).any():
             raise ValueError("distortions must be nonnegative")
         if len(self.results) not in (0, self.ks.size):
@@ -263,10 +268,11 @@ def mean_silhouette(points, labels, metric: str = "euclidean") -> float | np.nda
 
     labels of shape (n,) give a float; a stack of shape (m, n) gives the m
     scores as an array, each equal to the score of its row alone. The
-    distance matrix is never held whole: one pass over blocks of 512 to
-    1023 rows computes each block's distances once and reduces them to
-    per-cluster sums for every labeling, so memory is O(512 n + n sum(k))
-    for the m labelings' cluster counts k, however large m is.
+    distance matrix is never held whole: one pass over equal blocks of
+    about 2^19 distances (ceil(2^19 / n) rows, at least 2, and fewer than
+    twice that) computes each block's distances once and reduces them to
+    per-cluster sums for every labeling, so memory is O(2^19 + n sum(k))
+    floats for the m labelings' cluster counts k, however large n and m are.
     """
     metric_name = _cdist_metric(metric)
     x = as_points(points)
@@ -282,12 +288,15 @@ def mean_silhouette(points, labels, metric: str = "euclidean") -> float | np.nda
     onehots = [(invs[j][:, None] == np.arange(invs[j].max() + 1)).astype(float)
                for j in scored]
     sums = [np.empty(onehot.shape) for onehot in onehots]
-    # Equal blocks of at least 512 rows (unless n < 512), and one product per
-    # labeling: the shape of a product picks the summation order (numpy sends
-    # a one-row product to a matrix-vector routine, OpenBLAS small products to
-    # a kernel of their own), so a short last block or a product shared by
-    # the whole stack could change a score's last bits.
-    for rows in np.array_split(np.arange(n), max(1, n // _SIL_BLOCK)):
+    # Equal blocks of about 4 MiB of distances and one product per labeling:
+    # the shape of a product picks the summation order (numpy sends a one-row
+    # product to a matrix-vector routine, OpenBLAS products of at most 10^6
+    # multiply-adds to a kernel of their own), so a short last block or a
+    # product shared by the whole stack could change a score's last bits.
+    # With at least 2 and 2^19 / n rows, a block's product at k >= 2 does
+    # 2^20 multiply-adds or more.
+    block_rows = max(2, -(-_SIL_BLOCK_DISTANCES // n))
+    for rows in np.array_split(np.arange(n), max(1, n // block_rows)):
         dist = cdist(x[rows], x, metric_name)
         for onehot, cluster_sums in zip(onehots, sums):
             cluster_sums[rows] = dist @ onehot

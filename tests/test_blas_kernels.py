@@ -20,7 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Prints one sha256 per output: a control of BLAS dot products, which the
 # kernels round differently, then the fits of every algorithm, an offline fit
-# at d = 10, both medians and the row norms of the Weiszfeld stop test.
+# at d = 10, both medians and the row norms of the Weiszfeld stop test. Last
+# comes whether silhouette scores of a stack equal those of each labeling
+# alone; the scores themselves go through BLAS and may differ by kernel.
 CHILD = """
 import hashlib, json
 import numpy as np
@@ -46,6 +48,13 @@ out["asg_median"] = digest(kmedians.asg_median(x, kmedians.AsgConfig(passes=2), 
 out["weiszfeld_median"] = digest(kmedians.weiszfeld_median(x, tol=1e-12).point)
 # the row norms of Weiszfeld's stop test, which the fits above meet far from its bound
 out["_rowdot"] = digest(_rowdot(np.random.default_rng(1).standard_normal((40, 5))))
+# at n = 3000 the silhouette blocks hold 176 or 177 rows, so some end on a
+# kernel's edge path
+rng = np.random.default_rng(2)
+sx = rng.standard_normal((3000, 3))
+stack = np.stack([rng.integers(0, k, size=3000) for k in (2, 5, 9)])
+single = np.array([kmedians.mean_silhouette(sx, row) for row in stack])
+out["silhouette_stack"] = kmedians.mean_silhouette(sx, stack).tobytes() == single.tobytes()
 print(json.dumps(out))
 """
 
@@ -82,6 +91,8 @@ def test_fits_are_identical_across_openblas_kernels():
     # Prescott (SSE3) runs on any x86_64; Haswell needs AVX2 and FMA
     coretypes = [None, "Prescott"] + (["Haswell"] if {"avx2", "fma"} <= _cpu_flags() else [])
     runs = {coretype or "default": _run(coretype) for coretype in coretypes}
+    apart = sorted(name for name, run in runs.items() if not run["silhouette_stack"])
+    assert not apart, f"stacked silhouette scores differ from single ones under {apart}"
     if len({run.pop("control") for run in runs.values()}) < 2:
         pytest.skip("the kernels here round the control dot products alike, "
                     "so the comparison would show nothing")

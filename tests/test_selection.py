@@ -83,6 +83,17 @@ def test_curve_validation():
             DistortionCurve(n=10, ks=ks, distortions=[4.0, 3.0, 2.0, 1.0])
 
 
+def test_curve_refuses_non_finite_distortions():
+    # a NaN at k = 1 would select k = 1 and an inf k = 2, with no flag
+    w = [5.0, 4.0, 3.0, 2.5, 2.2, 2.1, 2.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, 3):
+            with pytest.raises(ValueError, match=rf"finite, got {bad} at k={at + 1}$"):
+                make_curve(w[:at] + [bad] + w[at:])
+    with pytest.raises(ValueError, match=r"got nan at k=2$"):
+        make_curve([5.0, np.nan, 3.0, np.inf])
+
+
 # ---------------------------------------------------------------------------
 # slope selector
 
@@ -385,6 +396,37 @@ def test_mean_silhouette_memory_stays_below_a_quarter_of_the_dense_matrix():
         tracemalloc.stop()
     assert scores.shape == (11,)
     assert peak < n * n * 8 / 4
+
+
+def test_mean_silhouette_memory_stays_within_the_block_budget():
+    # a block holds about 2^19 distances (at most 8 MiB); beyond it only the
+    # (n, k) indicators and sums of each labeling and their temporaries grow
+    rng = np.random.default_rng(23)
+    n = 6000
+    x = rng.normal(size=(n, 3))
+    ks = (3, 5, 8)
+    stack = np.stack([rng.integers(0, k, size=n) for k in ks])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        scores = mean_silhouette(x, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (len(ks),)
+    assert peak < 8 * 2**20 + 4 * n * sum(ks) * 8
+
+
+def test_mean_silhouette_stack_equals_single_with_short_blocks():
+    # at n = 3000 the blocks hold 176 or 177 rows; each labeling keeps its
+    # own product of the same shape, so stacking changes no bit on any kernel
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(3000, 3))
+    stack = _labelings(rng, x)
+    for metric in ("euclidean", "manhattan"):
+        stacked = mean_silhouette(x, stack, metric)
+        single = np.array([mean_silhouette(x, row, metric) for row in stack])
+        assert stacked.tobytes() == single.tobytes(), metric
 
 
 def test_mean_silhouette_checks_metric_and_labels_shape():
