@@ -9,7 +9,8 @@ are stable under heavy-tailed contamination.
 
 The spanning tree is exact, from Borůvka rounds on a kd-tree, and its
 weights equal `np.linalg.norm(x[u] - x[v], axis=1)` bit for bit, a fixed
-order on every BLAS (the 1-D norm of one pair is a BLAS dot product).
+order on every BLAS (the 1-D norm of one pair is a BLAS dot product). Trees
+and partitions are exact under power-of-two rescaling, at any spread.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._utils import _sq_dists
+from ._utils import _pow2_normalised, _sq_dists
 
 
 _NEIGHBOURS = 8     # first query: each point's nearest points, itself among them
@@ -72,30 +73,21 @@ class _Boruvka:
     """
 
     def __init__(self, x: np.ndarray):
-        n, d = x.shape
-        self.n = n
+        self.n, d = x.shape
         self.x = x
-        # search on x, or, where its spread is extreme, on x times a power of
-        # two (exact) that brings the spread near 1, so that no squared
-        # kd-tree distance overflows or underflows
-        spread = float(np.max(x.max(axis=0) / 2 - x.min(axis=0) / 2))
-        e = np.frexp(spread)[1] if spread > 0 else 0
-        e = 0 if -300 < e < 300 else int(np.clip(e, -1000, 1000))
-        self.scale = np.ldexp(1.0, -e)
-        self.xs = x * self.scale if e else x
-        self.tree = cKDTree(self.xs)
+        self.tree = cKDTree(x)
         # both distances add the same d squares, in other orders: they differ
         # by (d + 2) eps relative at most, plus what underflow loses
         self.rtol = 16 * (d + 2) * np.finfo(float).eps
-        self.atol = 1e-150 * (1 + np.ldexp(1.0, e))
+        self.atol = 2e-150
 
     def lower(self, r):
         """A lower bound on the weight of any edge at kd-tree distance >= r."""
-        return r / self.scale * (1 - self.rtol) - self.atol
+        return r * (1 - self.rtol) - self.atol
 
     def upper(self, w: float) -> float:
         """A kd-tree distance above that of every edge of weight <= w."""
-        return (w * (1 + self.rtol) + self.atol) * self.scale
+        return w * (1 + self.rtol) + self.atol
 
     def edges(self):
         """The tree's (u, v, w) edge arrays."""
@@ -121,7 +113,7 @@ class _Boruvka:
         self.nbr = np.empty((n, k), dtype=np.int32)
         self.reach = np.full(n, np.inf)
         for s in range(0, n, _BLOCK):
-            dist, idx = self.tree.query(self.xs[s:s + _BLOCK], k=k)
+            dist, idx = self.tree.query(self.x[s:s + _BLOCK], k=k)
             self.nbr[s:s + _BLOCK] = idx.reshape(-1, k)
             if k < n:
                 self.reach[s:s + _BLOCK] = self.lower(dist.reshape(-1, k)[:, -1])
@@ -207,13 +199,13 @@ class _Boruvka:
         component it was in when that component first held _ATOM points, or
         else its component. Every piece lies in one component, and pieces
         stay small where components grow large. Also each piece's component
-        and its ball (centre and radius) in kd-tree coordinates."""
+        and its ball (centre and radius)."""
         key = np.where(self.atom >= 0, self.atom, self.atoms + self.comp)
         self.piece = np.unique(key, return_inverse=True)[1]
         count = int(self.piece.max()) + 1
         self.piece_comp = np.empty(count, dtype=np.intp)
         self.piece_comp[self.piece] = self.comp
-        self.centre, self.radius = _balls(self.xs, self.piece, count)
+        self.centre, self.radius, _ = _balls(self.x, self.piece, count)
 
     def _least_per_component(self, listed):
         """(u, v, w) of the least known edge leaving each component: the
@@ -234,29 +226,19 @@ class _Boruvka:
         its searches."""
         comp, near, bound = self.comp, self.near, self.bound
         pts = pts[np.argsort(comp[pts], kind="stable")]
-        c = comp[pts]
-        head = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-        size = np.diff(np.r_[head, pts.shape[0]])
-        group = np.repeat(np.arange(head.shape[0]), size)
-        sq = np.zeros(pts.shape[0])
-        for k in range(self.x.shape[1]):
-            col = self.x[pts, k]
-            col -= np.repeat(np.add.reduceat(col, head) / size, size)
-            sq += col * col
+        group = np.cumsum(np.r_[0, np.diff(comp[pts]) != 0])
+        sq = _balls(self.x[pts], group, int(group[-1]) + 1)[2]
         pivot = pts[_least(group, sq, pts, pts)]
         # the least edge of each pivot, from its weights to every point
         qw = np.empty(pivot.shape[0])
         for t, i in enumerate(pivot.tolist()):
-            own = comp == comp[i]
             w = np.sqrt(_sq_dists(self.x.T, self.x[i]))
-            w[own] = np.inf
+            w[comp == comp[i]] = np.inf
             j = int(np.argmin(w))           # the least index among equally near
-            if own[j]:                      # every weight overflowed
-                j = int(np.argmin(own))
             near[i], bound[i], qw[t] = j, w[j], w[j]
         dp = _weights(self.x, pts, pivot[group])
         lb = qw[group] * (1 - self.rtol) - dp * (1 + self.rtol) - self.atol
-        keep = (near[pts] < 0) & np.isfinite(qw[group])
+        keep = near[pts] < 0
         bound[pts[keep]] = np.maximum(bound[pts[keep]], lb[keep])
 
 
@@ -289,7 +271,7 @@ class _Search:
         # searched in a kd-tree of the other half's
         m = mst.m
         mst.shape_pieces()
-        centre = np.zeros((m, mst.xs.shape[1]))     # the mean of each component's pieces' centres
+        centre = np.zeros((m, mst.x.shape[1]))     # the mean of each component's pieces' centres
         np.add.at(centre, mst.piece_comp, mst.centre)
         centre /= np.bincount(mst.piece_comp, minlength=m)[:, None]
         ids = np.arange(m)        # the components, reordered so that each node is a range
@@ -332,7 +314,7 @@ class _Search:
         inside = np.zeros(mst.piece_comp.shape[0], dtype=bool)
         inside[pieces[near_pieces]] = True
         targets = np.flatnonzero(inside[mst.piece])
-        self.sweep(cKDTree(mst.xs[targets]), targets, rows, min(2, targets.shape[0]), True)
+        self.sweep(cKDTree(mst.x[targets]), targets, rows, min(2, targets.shape[0]), True)
 
     def sweep(self, tree, targets, rows, k, grow):
         """Offer the points p[rows], the most promising first, edges to their
@@ -349,7 +331,7 @@ class _Search:
                 r = self.live(rows[s:s + step])
                 if not r.shape[0]:
                     continue
-                dist, idx = tree.query(mst.xs[p[r]], k=k,
+                dist, idx = tree.query(mst.x[p[r]], k=k,
                                        distance_upper_bound=mst.upper(self.qw[r].max()))
                 dist, idx = dist.reshape(r.shape[0], k), idx.reshape(r.shape[0], k)
                 i, j = np.nonzero(idx < targets.shape[0])
@@ -370,13 +352,13 @@ class _Search:
         radius."""
         mst = self.mst
         centre, radius = mst.centre[pieces], mst.radius[pieces]
-        slack = 4 * (mst.xs.shape[1] + 2) * np.finfo(float).eps
+        slack = 4 * (mst.x.shape[1] + 2) * np.finfo(float).eps
         near_rows = np.zeros(rows.shape[0], dtype=bool)
         near_pieces = np.zeros(pieces.shape[0], dtype=bool)
         step = max(1, (1 << 13) // pieces.shape[0])
         for s in range(0, rows.shape[0], step):
             r = rows[s:s + step]
-            y = mst.xs[self.p[r]]
+            y = mst.x[self.p[r]]
             sq = np.zeros((r.shape[0], pieces.shape[0]))
             for k in range(y.shape[1]):
                 t = y[:, k, None] - centre[:, k]
@@ -413,20 +395,21 @@ class _Search:
         self.q[over], self.qw[over] = -1, cap[self.c[over]]
 
 
-def _balls(xs: np.ndarray, label: np.ndarray, count: int):
-    """Centre (the mean) and radius about it of each group of rows of xs
-    labelled 0..count-1; one coordinate at a time, in O(n) memory."""
+def _balls(x: np.ndarray, label: np.ndarray, count: int):
+    """Centre (the mean) and radius about it of each nonempty group of rows of
+    x labelled 0..count-1, and each row's squared distance to its centre in
+    stable label order; one coordinate at a time, in O(n) memory."""
     order = np.argsort(label, kind="stable")
     size = np.bincount(label, minlength=count)
     start = np.r_[0, np.cumsum(size)[:-1]]
-    centre = np.empty((count, xs.shape[1]))
+    centre = np.empty((count, x.shape[1]))
     r2 = np.zeros(order.shape[0])
-    for k in range(xs.shape[1]):
-        col = xs[order, k]
+    for k in range(x.shape[1]):
+        col = x[order, k]
         centre[:, k] = np.add.reduceat(col, start) / size
         col -= np.repeat(centre[:, k], size)
         r2 += col * col
-    return centre, np.maximum.reduceat(np.sqrt(r2), start)
+    return centre, np.maximum.reduceat(np.sqrt(r2), start), r2
 
 
 def _spanning_tree(x: np.ndarray):
@@ -435,13 +418,16 @@ def _spanning_tree(x: np.ndarray):
     Exact: ordered by the key (w, min end, max end), the edges have one
     minimum spanning tree, and with distinct weights it is the one every
     exact algorithm finds. Weights equal `np.linalg.norm(x[u] - x[v], axis=1)`
-    bit for bit (see `_weights`). Returns (u, v, w) arrays in key order, u the
-    smaller end. About O(n log n) time for small d, O(n (d + 8)) memory.
+    bit for bit where it neither overflows nor underflows (see `_weights`); at
+    any spread the tree is that of `_pow2_normalised`'s x 2**-e, its weights
+    times 2**e. Returns (u, v, w) arrays in key order, u the smaller end.
+    About O(n log n) time for small d, O(n (d + 8)) memory.
     """
+    x, e = _pow2_normalised(x)
     eu, ev, ew = _Boruvka(x).edges()
     eu, ev = np.minimum(eu, ev), np.maximum(eu, ev)
     order = np.lexsort((ev, eu, ew))
-    return eu[order], ev[order], ew[order]
+    return eu[order], ev[order], np.ldexp(ew[order], e)
 
 
 def _find(parent, i: int) -> int:

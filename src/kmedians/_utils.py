@@ -93,6 +93,15 @@ def _sq_dists(cols: np.ndarray, p):
     return _sq_dists(cols[:half], p[:half]) + _sq_dists(cols[half:], p[half:])
 
 
+def _pow2_normalised(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e), exact: e = 0, x as is, while the exponent of x's largest
+    coordinate half-range lies in (-300, 300), else that exponent (clipped to
+    +-1000), so that no squared distance of the result overflows or underflows."""
+    e = int(np.frexp(np.max(x.max(axis=0) / 2 - x.min(axis=0) / 2))[1])
+    e = 0 if -300 < e < 300 else int(np.clip(e, -1000, 1000))
+    return (np.ldexp(x, -e) if e else x), e
+
+
 def pairwise_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of x (n, d) and rows of c (k, d).
 

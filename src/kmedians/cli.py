@@ -64,7 +64,7 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     must have as many fields as the header, each numeric and finite. A
     failure names its row, the header being row 1.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._genie import GenieHierarchy
-from ._utils import as_count, as_points, derive_seed, spawn_rng
+from ._utils import _pow2_normalised, as_count, as_points, derive_seed, spawn_rng
 from .clustering import ClusteringResult, InitMethod, _check_options, run_clustering
 
 __all__ = [
@@ -273,9 +273,10 @@ def mean_silhouette(points, labels, metric: str = "euclidean") -> float | np.nda
     twice that) computes each block's distances once and reduces them to
     per-cluster sums for every labeling, so memory is O(2^19 + n sum(k))
     floats for the m labelings' cluster counts k, however large n and m are.
+    Scores are unit-free and exact at any spread (`_pow2_normalised`).
     """
     metric_name = _cdist_metric(metric)
-    x = as_points(points)
+    x, _ = _pow2_normalised(as_points(points))
     n = x.shape[0]
     labels = np.asarray(labels)
     if labels.ndim not in (1, 2):
@@ -285,6 +286,8 @@ def mean_silhouette(points, labels, metric: str = "euclidean") -> float | np.nda
                          f"{n} points")
     invs = [np.unique(row, return_inverse=True)[1] for row in labels.reshape(-1, n)]
     scored = [j for j, inv in enumerate(invs) if inv.max() > 0]
+    if not scored:  # no labeling has two clusters: no distance is needed
+        return 0.0 if labels.ndim == 1 else np.zeros(len(invs))
     onehots = [(invs[j][:, None] == np.arange(invs[j].max() + 1)).astype(float)
                for j in scored]
     sums = [np.empty(onehot.shape) for onehot in onehots]
@@ -349,6 +352,8 @@ def run_selection(points, method: str, k_max: int, algorithm: str = "offline",
                   silhouette_metric: str = "euclidean", init: InitMethod | None = None,
                   **params):
     """Run a selector and return (report, fitted result at k_hat, curve or None)."""
+    if min_window is not None and method in ("gap", "silhouette"):
+        raise ValueError(f"min_window applies only to method 'slope', not {method!r}")
     if method == "slope":
         x = as_points(points)
         ks = _candidate_ks(1, k_max, x.shape[0])

@@ -206,6 +206,13 @@ def test_scenario_flags_rejected_with_input(tmp_path, capsys):
         assert not (out / "report.json").exists()
     assert run_cli("evaluate", "--input", data, "--labels", data, "--rho", 0.1,
                    "--out", tmp_path / "e") == 2
+    # a flag at its default shapes nothing and is accepted, so that the report
+    # of an --input run, which echoes every default, replays
+    for flags in (("--rho", 0), ("--law", "t1")):
+        out = tmp_path / f"ok{flags[0]}"
+        assert run_cli("cluster", "--input", data, "--k", 2, *flags, "--out", out) == 0
+    assert run_cli("--config", out / "report.json", "--out", tmp_path / "replay") == 0
+    assert (out / "labels.csv").read_bytes() == (tmp_path / "replay" / "labels.csv").read_bytes()
 
 
 def test_refused_runs_leave_no_output_directory(tmp_path):
@@ -341,6 +348,20 @@ def test_header_required(tmp_path):
     data.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="header"):
         load_csv(str(data))
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # read as part of the first name, a BOM turned `label` into a coordinate
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbflabel,x,y\n0,1.0,2.0\n0,1.5,2.5\n1,9.0,9.0\n1,9.5,8.5\n")
+    points, labels, mask = load_csv(str(data))
+    assert points.tolist() == [[1.0, 2.0], [1.5, 2.5], [9.0, 9.0], [9.5, 8.5]]
+    assert labels.tolist() == [0, 0, 1, 1] and mask is None
+    pred = tmp_path / "pred.csv"
+    pred.write_bytes(b"\xef\xbb\xbflabel\n1\n1\n0\n0\n")
+    assert run_cli("evaluate", "--input", data, "--labels", pred, "--out", tmp_path / "e") == 0
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert report["evaluation"] == {"ari": 1.0, "n": 4}
 
 
 def test_cli_reaches_traced_entry_points(tmp_path, monkeypatch):

@@ -366,13 +366,41 @@ def test_pairwise_distances_equal_broadcast_norm_bitwise(d):
 
 
 def test_genie_spans_when_squared_distances_overflow():
-    # at this scale every squared distance is inf; the tree must still span
+    # at 1e200 every squared distance is inf, at 1e-200 every one is 0; the
+    # partitions must still be those of the unscaled points, two blobs at k = 2
     rng = np.random.default_rng(1)
-    pts = np.vstack([rng.normal(size=(10, 2)) - 5, rng.normal(size=(10, 2)) + 5]) * 1e200
-    with np.errstate(over="ignore"):
-        tree = GenieHierarchy(pts)
-    for k in (1, 2, 5, 20):
-        assert len(np.unique(tree.labels_at(k))) == k
+    pts = np.vstack([rng.normal(size=(10, 2)) - 5, rng.normal(size=(10, 2)) + 5])
+    plain = GenieHierarchy(pts)
+    assert np.array_equal(plain.labels_at(2), np.repeat([0, 1], 10))
+    for factor in (1e200, 1e-200):
+        tree = GenieHierarchy(pts * factor)
+        for k in (1, 2, 5, 20):
+            assert np.array_equal(tree.labels_at(k), plain.labels_at(k)), (factor, k)
+
+
+def _power_of_two_cases():
+    """Two blobs, rows with duplicates, and uniform data in five dimensions."""
+    rng = np.random.default_rng(1)
+    dup = rng.normal(size=(300, 3))
+    dup[1:4] = dup[0]
+    return [("blobs", np.vstack([rng.normal(size=(10, 2)) - 5, rng.normal(size=(10, 2)) + 5])),
+            ("duplicates", dup), ("uniform", rng.uniform(size=(500, 5)))]
+
+
+@pytest.mark.parametrize("e", [250, 300, 540, 700, 900, -250, -300, -540, -700, -900])
+def test_tree_and_genie_are_exact_under_power_of_two_scaling(e):
+    # a power of two changes no mantissa: beyond the range where squared
+    # distances overflow or underflow, the tree, its weights times 2^e and the
+    # merges must still be those of the unscaled points, bit for bit
+    for name, x in _power_of_two_cases():
+        u0, v0, w0 = _spanning_tree(x)
+        u, v, w = _spanning_tree(np.ldexp(x, e))
+        assert np.array_equal(u, u0) and np.array_equal(v, v0), name
+        assert w.tobytes() == np.ldexp(w0, e).tobytes(), name
+        plain, scaled = GenieHierarchy(x), GenieHierarchy(np.ldexp(x, e))
+        assert scaled.merges == plain.merges, name
+        for k in (2, 3, 10):
+            assert np.array_equal(scaled.labels_at(k), plain.labels_at(k)), (name, k)
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,36 @@ def test_mean_silhouette_stack_equals_single_with_short_blocks():
         assert stacked.tobytes() == single.tobytes(), metric
 
 
+@pytest.mark.parametrize("e", [250, 300, 540, 700, 900, -250, -300, -540, -700, -900])
+def test_mean_silhouette_is_exact_under_power_of_two_scaling(e):
+    # the scores are unit-free, and a power of two changes no mantissa: they
+    # must not move by a bit where the scaled distances would overflow or
+    # underflow (two blobs scored 0.0 at 2^700 and 1.0 at 2^-540 before)
+    rng = np.random.default_rng(25)
+    two_blobs = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], n_per=10)
+    x = rng.normal(size=(300, 3))
+    x[1:4] = x[0]
+    for pts, stack in ((two_blobs, np.repeat([[0, 1]], 10, axis=1)), (x, _labelings(rng, x))):
+        for metric in ("euclidean", "manhattan"):
+            expected = mean_silhouette(pts, stack, metric)
+            got = mean_silhouette(np.ldexp(pts, e), stack, metric)
+            assert got.tobytes() == expected.tobytes(), metric
+
+
+def test_mean_silhouette_computes_no_distance_when_nothing_is_scored(monkeypatch):
+    # no labeling with two clusters, or no labeling at all: every score is 0
+    # and no distance block is needed
+    def refused(*args, **kwargs):
+        raise AssertionError("cdist called")
+    monkeypatch.setattr(kmedians.selection, "cdist", refused)
+    x = np.random.default_rng(26).normal(size=(50, 2))
+    assert mean_silhouette(x, np.zeros(50, dtype=int)) == 0.0
+    assert mean_silhouette(x, np.full((3, 50), 7), "manhattan").tolist() == [0.0] * 3
+    assert mean_silhouette(x, np.zeros((0, 50), dtype=int)).shape == (0,)
+    with pytest.raises(AssertionError, match="cdist called"):
+        mean_silhouette(x, np.arange(50) % 2)
+
+
 def test_mean_silhouette_checks_metric_and_labels_shape():
     x = np.random.default_rng(23).normal(size=(6, 2))
     with pytest.raises(ValueError, match="unknown metric"):
@@ -535,6 +565,12 @@ def test_slope_refuses_min_window_out_of_range_before_fitting(monkeypatch):
     for k_max in (1, 2):
         with pytest.raises(ValueError, match=f"at least 3 curve points, got {k_max}"):
             run_selection(pts, "slope", k_max, seed=0)
+    # gap and silhouette have no slope-fit window: any min_window is refused
+    for method in ("gap", "silhouette"):
+        for window in (-3, 3, 99):
+            with pytest.raises(ValueError, match=f"min_window applies only to method "
+                                                 f"'slope', not '{method}'"):
+                run_selection(pts, method, 6, seed=0, gap_b=2, min_window=window)
     for bad, message in (({"max_iter": 0}, "max_iter must be >= 1"),
                          ({"n_start": 0}, "n_start must be >= 1"),
                          ({"median_tol": 0.0}, "median_tol must be positive"),
