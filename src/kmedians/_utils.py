@@ -56,41 +56,45 @@ def as_count(name: str, value, lo: int, hi: int | None = None, hi_name: str = ""
     return v
 
 
+def _sumsq(values):
+    """The sum of the squares of `values`, a list of Python floats or of arrays of
+    one shape, added as numpy's pairwise `add.reduce` adds a contiguous row of
+    len(values) terms: one by one below 8 terms, 8 partial sums combined as a
+    tree and then the tail up to 128, halves beyond. A float result equals
+    `np.add.reduce(t * t)` of `t = np.array(values)`, and each element of an
+    array result that of the values' matching elements, bit for bit and with no
+    BLAS call. Arrays are squared and added in place, so the caller passes fresh
+    ones."""
+    n = len(values)
+    if n < 8:
+        it = iter(values)
+        s = next(it)
+        s *= s
+        for v in it:
+            v *= v
+            s += v
+        return s
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sumsq(values[:half]) + _sumsq(values[half:])
+    sq = list(map(operator.imul, values, values))
+    stop = n - n % 8
+    r = sq[:8]
+    for i in range(8, stop, 8):
+        r = list(map(operator.iadd, r, sq[i:i + 8]))
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in sq[stop:]:
+        s += v
+    return s
+
+
 def _sq_dists(cols: np.ndarray, p):
     """Squared distances from the points stored column by column in `cols` (d x m)
-    to `p`.
-
-    `p[k]`, coordinate k of the reference, is a scalar, or an array of length
-    m that gives every point its own reference. The d squared differences
-    of a point are added in the order numpy's pairwise `add.reduce` adds a
-    row of length d: one by one below 8 terms, 8 partial sums combined as a
-    tree and then the tail up to 128, halves beyond. So `np.sqrt` of the
-    result equals `np.linalg.norm(x - p, axis=1)` bit for bit, at a few
-    whole-column operations per coordinate.
-    """
-    d = cols.shape[0]
-
-    def sq(k):
-        t = cols[k] - p[k]
-        return np.multiply(t, t, out=t)
-
-    if d < 8:
-        acc = sq(0)
-        for k in range(1, d):
-            acc += sq(k)
-        return acc
-    if d <= 128:
-        r = [sq(k) for k in range(8)]
-        stop = d - d % 8
-        for i in range(8, stop, 8):
-            for k in range(8):
-                r[k] += sq(i + k)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(stop, d):
-            acc += sq(k)
-        return acc
-    half = d // 2 - (d // 2) % 8
-    return _sq_dists(cols[:half], p[:half]) + _sq_dists(cols[half:], p[half:])
+    to `p`, by `_sumsq` of the d coordinate differences: `np.sqrt` of the result
+    equals `np.linalg.norm(x - p, axis=1)` bit for bit. `p[k]`, coordinate k of the
+    reference, is a scalar, or an array of length m that gives every point its own
+    reference."""
+    return _sumsq([cols[k] - p[k] for k in range(cols.shape[0])])
 
 
 def _pow2_normalised(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -108,7 +112,7 @@ def pairwise_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     Filled one center at a time from explicit differences, so coincident
     rows give an exact 0.0 (the dot-product shortcut does not) and column j
     equals `np.linalg.norm(x - c[j], axis=1)` bit for bit. Needs O(n k)
-    memory beyond a transposed copy of x.
+    memory beyond a transposed copy of x and the differences to one center.
     """
     cols = np.ascontiguousarray(x.T)
     out = np.empty((x.shape[0], c.shape[0]))

@@ -64,26 +64,30 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     must have as many fields as the header, each numeric and finite. A
     failure names its row, the header being row 1.
     """
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if all(_is_number(h) for h in header):
-            raise ValueError(f"{path}: header row required (first row is numeric)")
-        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
-        if repeated is not None:
-            raise ValueError(f"{path}: column {repeated!r} appears more than once in the header")
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {rownum}: expected {len(header)} fields, "
-                                 f"got {len(row)}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            reader = csv.reader(f)
             try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric field") from None
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            if all(_is_number(h) for h in header):
+                raise ValueError(f"{path}: header row required (first row is numeric)")
+            repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{path}: column {repeated!r} appears more than once in the "
+                                 "header")
+            rows = []
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row {rownum}: expected {len(header)} fields, "
+                                     f"got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rownum}: non-numeric field") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows)
@@ -392,7 +396,7 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
     try:
-        rhos = [float(r) for r in args.rho.split(",")] if args.rho else [0.0]
+        rhos = [float(r) for r in args.rho.split(",")]
     except ValueError:
         raise ConfigError(f"--rho: {args.rho!r} is not a comma-separated list of "
                           "numbers") from None
@@ -613,12 +617,14 @@ def _replay(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
         raise ConfigError("kmedians: argument --config: expected a path, got ''")
     try:
         doc = json.loads(Path(known.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"--config: {e}") from None
     cfg = doc.get("config", doc) if isinstance(doc, dict) else None
     if not isinstance(cfg, dict):
         raise ValueError("--config: document must be a JSON object")
     command = doc.get("command") or cfg.get("command")
+    if command is not None and not isinstance(command, str):
+        raise ValueError(f"--config: command must be a string, got {command!r}")
     commands = next(a for a in parser._actions if a.dest == "command").choices
     at = _command_at(rest, commands)
     if at is not None:

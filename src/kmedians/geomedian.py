@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
-from ._utils import _sq_dists, as_count, as_points, pairwise_distances, spawn_rng
+from ._utils import _sq_dists, _sumsq, as_count, as_points, pairwise_distances, spawn_rng
 
 __all__ = ["MedianEstimate", "AsgConfig", "l1_objective", "weiszfeld_median", "asg_median"]
 
@@ -105,7 +105,7 @@ def weiszfeld_median(points, tol: float = 1e-8, max_iter: int = 200, start=None)
 
 
 def _rowdot(v: np.ndarray) -> np.ndarray:
-    """v[i] @ v[i] for every row, added in the order of `_utils._sq_dists` whatever the
+    """v[i] @ v[i] for every row, added in the order of `_utils._sumsq` whatever the
     memory layout of v: its square root equals np.linalg.norm(v, axis=1) of a C-ordered v
     bit for bit (not the 1-D np.linalg.norm(v[i]), a BLAS dot product whose rounding
     depends on the CPU kernel). An F-ordered product would be summed down its columns,
@@ -196,31 +196,6 @@ def _weiszfeld_blocks(x: np.ndarray, bounds: np.ndarray, starts: np.ndarray, tol
     m[active] = cur
     steps[active] = step
     return m, steps, converged
-
-
-def _sumsq(values) -> float:
-    """The sum of squares of a list of Python floats, added in the order of
-    `_utils._sq_dists`: one by one below 8 terms, 8 lanes combined as a tree and
-    then the tail up to 128, halves beyond. It equals np.add.reduce(t * t) and the
-    square of np.linalg.norm(t[None], axis=1) bit for bit, on every BLAS."""
-    n = len(values)
-    if n < 8:
-        s = 0.0
-        for v in values:
-            s += v * v
-        return s
-    if n <= 128:
-        sq = [v * v for v in values]
-        stop = n - n % 8
-        r = sq[:8]
-        for i in range(8, stop, 8):
-            r = list(map(add, r, sq[i:i + 8]))
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in sq[stop:]:
-            s += v
-        return s
-    half = n // 2 - (n // 2) % 8
-    return _sumsq(values[:half]) + _sumsq(values[half:])
 
 
 def _rows(x, order):

@@ -120,9 +120,12 @@ def _candidate_ks(k_min: int, k_max: int, n: int) -> np.ndarray:
 def _sweep(x, ks, algorithm, seed_key, init, params) -> DistortionCurve:
     """Check the fit options and derive each fit's seed (k's from seed_key + (k,)), then fit
     the algorithm to the validated points x at every k in ks, building the hierarchy once."""
+    init = init or InitMethod()
+    if init.kind == "provided":
+        raise ValueError("init kind 'provided' gives one codebook, which cannot start a fit "
+                         "at every k of a selection")
     _check_options(algorithm, **params)
     seeds = [derive_seed(*seed_key, k) for k in ks]
-    init = init or InitMethod()
     tree = None
     if init.kind == "robust_hierarchical":
         tree = GenieHierarchy(x, init.gini_threshold)

@@ -278,6 +278,7 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
             (2, ("select", "--input", data, "--k", 3, "--k-max", 5)),
             (2, ("select", "--input", data, "--method", "none", "--k-max", 5)),
             (2, ("bench", "--scenario", "s2", "--trials", 1, "--rho", "0,abc")),
+            (2, ("bench", "--scenario", "s2", "--trials", 1, "--k-max", 3, "--rho", "")),
             # options must be spelled in full: no prefix stands for --k-max or --gini-threshold
             (2, ("bench", "--scenario", "s2", "--trials", 1, "--k", 3)),
             (2, ("cluster", "--input", data, "--k", 2, "--gini", 0.5)),
@@ -674,3 +675,30 @@ def test_config_document_must_be_an_object(tmp_path, capsys, doc):
     cfg.write_text(doc)
     assert run_cli("--config", cfg) == 3
     assert "error: --config: document must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [5, ["select"], {"cluster": 1}, True])
+def test_config_command_must_be_a_string(tmp_path, capsys, command):
+    # refused as a malformed document, not a TypeError from the replay
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": command, "config": {"k": 2}}))
+    assert run_cli("--config", cfg) == 3
+    assert f"error: --config: command must be a string, got {command!r}" in \
+        capsys.readouterr().err
+
+
+def test_undecodable_input_names_its_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_blobs_csv(data)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,label\n1.0,0\n2.\xff,1\n")
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"command": "\xff"}')
+    for argv, where in ((("cluster", "--input", bad, "--k", 1), bad),
+                        (("evaluate", "--input", data, "--labels", bad), bad),
+                        (("--config", cfg), "--config")):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 3, argv
+        assert f"error: {where}: 'utf-8' codec can't decode byte 0xff" in \
+            capsys.readouterr().err
+        assert not out.exists(), argv

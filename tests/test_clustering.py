@@ -403,6 +403,24 @@ def test_tree_and_genie_are_exact_under_power_of_two_scaling(e):
             assert np.array_equal(scaled.labels_at(k), plain.labels_at(k)), (name, k)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(scenario=st.sampled_from(["s1", "s2", "s3"]), draw=st.integers(0, 2**16),
+       k=st.integers(1, 6), e=st.integers(-250, 250),
+       init=st.sampled_from(["robust_hierarchical", "plus_plus_l1"]), seed=st.integers(0, 99))
+def test_kmeans_is_exact_under_power_of_two_scaling(scenario, draw, k, e, init, seed):
+    # K-means squares no step length and compares only distances, so a power of
+    # two in range changes no label and scales centers and distortion exactly;
+    # offline (an absolute Weiszfeld stop test below unit scale), semi_online and
+    # online (steps in data units) do not have this property
+    x = make_scenario(scenario, draw).points
+    plain = run_clustering(x, k, "kmeans", seed, init=InitMethod(kind=init), n_start=2)
+    scaled = run_clustering(np.ldexp(x, e), k, "kmeans", seed, init=InitMethod(kind=init),
+                            n_start=2)
+    assert np.array_equal(scaled.labels, plain.labels)
+    assert scaled.centers.tobytes() == np.ldexp(plain.centers, e).tobytes()
+    assert scaled.distortion == np.ldexp(plain.distortion, 2 * e)
+
+
 # ---------------------------------------------------------------------------
 # lloyd_kmedians
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import minimize
 
 from kmedians import AsgConfig, asg_median, l1_objective, weiszfeld_median
-from kmedians.geomedian import _ROWS, _asg_stream, _rowdot, _rows, _sumsq, _weiszfeld_blocks
+from kmedians._utils import _sumsq
+from kmedians.geomedian import _ROWS, _asg_stream, _rowdot, _rows, _weiszfeld_blocks
 
 
 def test_l1_objective_values():
@@ -347,6 +348,16 @@ def test_sumsq_adds_in_numpy_order():
         for _ in range(5):
             t = _spread(rng, n)
             assert _sumsq(t.tolist()) == np.add.reduce(t * t), n
+
+
+def test_sumsq_adds_arrays_as_it_adds_floats():
+    # the distance kernel sums coordinate columns, the ASG stream Python floats:
+    # element by element, both must be the one order
+    rng = np.random.default_rng(32)
+    for n in range(1, 301):
+        t = _spread(rng, (n, 3))
+        floats = np.array([_sumsq(t[:, j].tolist()) for j in range(3)])
+        assert _sumsq(list(t.copy())).tobytes() == floats.tobytes(), n
 
 
 def _reference_stream(x, order, m, c_gamma, alpha):

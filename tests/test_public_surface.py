@@ -112,3 +112,38 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {(path.stem, name) for path in Path(kmedians.__file__).parent.glob("*.py")
               for name in _unused_imports(path)}
     assert sorted(unused - UNUSED_IMPORTS_ALLOWED) == []
+
+
+def _private_defs_and_uses(paths) -> tuple[list, list]:
+    """(private function and class definitions, name uses) across the modules at
+    `paths`: a definition is (module stem, name, node, names the module imports), a
+    use (name, node), counting a bare name and an attribute such as `self._step`."""
+    defs, uses = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.asname or a.name for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defs.append((path.stem, node.name, node, imported))
+            elif isinstance(node, ast.Name):
+                uses.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, node))
+    return defs, uses
+
+
+def test_every_private_function_and_class_is_used():
+    # dead code: a private name that only its own body names (a recursive helper
+    # nobody calls), or one its module also imports (a leftover copy of a shared
+    # helper, which the import or the copy shadows)
+    defs, uses = _private_defs_and_uses(Path(kmedians.__file__).parent.glob("*.py"))
+    assert len(defs) > 50
+    unused = []
+    for module, name, node, imported in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if name in imported or not any(used == name and id(n) not in inside
+                                       for used, n in uses):
+            unused.append(f"{module}.{name}")
+    assert unused == []

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 import kmedians.selection
 from kmedians import (
     DistortionCurve,
+    InitMethod,
     distortion_curve,
     empirical_distortion,
     gap_select,
@@ -575,7 +576,10 @@ def test_slope_refuses_min_window_out_of_range_before_fitting(monkeypatch):
                          ({"n_start": 0}, "n_start must be >= 1"),
                          ({"median_tol": 0.0}, "median_tol must be positive"),
                          ({"median_tol": np.inf}, "median_tol must be positive and finite"),
-                         ({"algorithm": "nope"}, "unknown algorithm")):
+                         ({"algorithm": "nope"}, "unknown algorithm"),
+                         # one codebook cannot start the fit at every k
+                         ({"init": InitMethod(kind="provided", provided_centers=pts[:2])},
+                          "init kind 'provided'")):
         for select in (lambda: run_selection(pts, "slope", 6, seed=0, **bad),
                        lambda: run_selection(pts, "silhouette", 6, seed=0, **bad),
                        lambda: distortion_curve(pts, 6, seed=0, **bad),
