@@ -14,6 +14,14 @@ non-robust baseline in benchmarks. `run_clustering` is the one fit entry:
 it checks every parameter and runs any of the four.
 
 Lloyd stops when the labels repeat ("labels_repeat") or at max_iter ("cap").
+The offline M-step runs in two phases: while the labels still move, each
+cluster's Weiszfeld solve stops after at most _MEDIAN_WARM_STEPS steps (each
+step lowers the cluster's L1 objective, so Lloyd still descends); from the
+iteration after the labels first repeat, and at iteration max_iter, every
+solve runs to median_tol or _MEDIAN_MAX_ITER. A stop on repeated labels
+comes only after such a full M-step, so its centers are the full-tolerance
+medians of their own clusters.
+
 The ASG M-step is stochastic, so a few labels can flip at every iteration
 after the distortion has settled (the recursive scheme of Cardot, Cenac &
 Monnez, CSDA 2012, settles only in distribution); semi_online therefore
@@ -52,6 +60,7 @@ INIT_KINDS = ("robust_hierarchical", "plus_plus_l1", "provided")
 _INIT_STREAM = 101
 _RESTART_STREAM = 102
 _MEDIAN_MAX_ITER = 100   # Weiszfeld cap per cluster in the offline M-step
+_MEDIAN_WARM_STEPS = 2   # the same cap while Lloyd's labels still move
 _PLATEAU_ITERS = 20      # semi_online: stale iterations before a plateau stop
 _PLATEAU_RTOL = 1e-4     # semi_online: relative drop of the best distortion that counts
 
@@ -65,13 +74,16 @@ class ClusteringResult:
     `assign(points, centers)` for the returned centers. `stop_reason` says
     why the kept restart's Lloyd loop ended: "labels_repeat", "plateau"
     (semi_online only) or "cap" (max_iter reached; also online, whose one
-    pass has no convergence test). `median_cap_hits` counts the Weiszfeld
-    solves of the kept offline restart, one per cluster and Lloyd iteration,
-    that stopped at their iteration cap unconverged; `median_batch_steps`
-    the steps of its Weiszfeld batches, one batch per Lloyd iteration and as
-    many steps as its longest solve; `median_block_steps` the steps of its
-    solves, summed over the clusters. All three are 0 for the other
-    algorithms.
+    pass has no convergence test). `median_cap_hits` counts the full
+    Weiszfeld solves of the kept offline restart, one per cluster and Lloyd
+    iteration, that stopped at _MEDIAN_MAX_ITER unconverged (a solve capped
+    at _MEDIAN_WARM_STEPS while the labels still move is not a hit);
+    `median_batch_steps` the steps of its Weiszfeld batches, one batch per
+    Lloyd iteration and as many steps as its longest solve;
+    `median_block_steps` the steps of its solves, summed over the clusters;
+    both count capped and full solves. `median_capped_iterations` counts
+    its Lloyd iterations whose M-step was capped. All four are 0 for the
+    other algorithms.
     """
 
     centers: np.ndarray
@@ -84,6 +96,7 @@ class ClusteringResult:
     median_cap_hits: int = 0
     median_batch_steps: int = 0
     median_block_steps: int = 0
+    median_capped_iterations: int = 0
 
 
 @dataclass
@@ -214,17 +227,24 @@ def _blocks(x, labels, k):
     return x[np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")], bounds
 
 
-def _median_step(tol, max_iter):
+def _median_step(tol, max_iter, warm_steps):
     """Offline M-step: the Weiszfeld median of every cluster from its center,
-    one `_weiszfeld_blocks` batch over all clusters. Over every call,
-    `m_step.counts`, keyed by `ClusteringResult` fields, counts the clusters
-    whose solve ended unconverged at max_iter, the steps of the batches (each
-    as many as its longest solve) and the steps of the solves."""
-    counts = dict(median_cap_hits=0, median_batch_steps=0, median_block_steps=0)
+    one `_weiszfeld_blocks` batch over all clusters, each solve stopping at
+    tol or after max_iter steps when full and after warm_steps when not.
+    Over every call, `m_step.counts`, keyed by `ClusteringResult` fields,
+    counts the full solves that ended unconverged at max_iter, the steps of
+    the batches (each as many as its longest solve), the steps of the solves
+    and the capped calls."""
+    counts = dict(median_cap_hits=0, median_batch_steps=0, median_block_steps=0,
+                  median_capped_iterations=0)
 
-    def m_step(xs, bounds, centers):
-        points, steps, converged = _weiszfeld_blocks(xs, bounds, centers, tol, max_iter)
-        counts["median_cap_hits"] += int(np.count_nonzero(~converged))
+    def m_step(xs, bounds, centers, full):
+        points, steps, converged = _weiszfeld_blocks(xs, bounds, centers, tol,
+                                                     max_iter if full else warm_steps)
+        if full:
+            counts["median_cap_hits"] += int(np.count_nonzero(~converged))
+        else:
+            counts["median_capped_iterations"] += 1
         counts["median_batch_steps"] += int(steps.max())
         counts["median_block_steps"] += int(steps.sum())
         return points
@@ -235,8 +255,8 @@ def _median_step(tol, max_iter):
 def _asg_step(cfg, rng):
     """Semi-online M-step: one averaged stochastic gradient stream over each
     cluster in turn, warm-started at its center, of cfg.passes permutations
-    of its members drawn from rng."""
-    def m_step(xs, bounds, centers):
+    of its members drawn from rng. A stream has no cap, so `full` is unused."""
+    def m_step(xs, bounds, centers, full):
         out = centers.copy()
         for j in np.flatnonzero(np.diff(bounds)):
             members = xs[bounds[j]:bounds[j + 1]]
@@ -247,43 +267,50 @@ def _asg_step(cfg, rng):
     return m_step
 
 
-def _mean_step(xs, bounds, centers):
-    """K-means M-step: the mean of every cluster."""
+def _mean_step(xs, bounds, centers, full):
+    """K-means M-step: the mean of every cluster (exact, so `full` is unused)."""
     out = centers.copy()
     for j in np.flatnonzero(np.diff(bounds)):
         out[j] = xs[bounds[j]:bounds[j + 1]].mean(axis=0)
     return out
 
 
-def _lloyd_once(x, centers, m_step, max_iter, plateau=False):
+def _lloyd_once(x, centers, m_step, max_iter, plateau=False, capped=False):
     """Alternate assignment and M-step until the labels stop changing.
 
     Each iteration sorts the rows by label once and calls m_step(xs, bounds,
-    centers) for the next codebook (see `_blocks`); a cluster without points
-    keeps its center. With `plateau` (the stochastic ASG M-step) the loop
-    also stops once _PLATEAU_ITERS iterations in a row fail to lower the best
-    mean distance seen by more than a relative _PLATEAU_RTOL, and whatever
-    the stop, the iterate with the lowest mean distance is returned (the
-    first on ties), its labels and distances from its own `_assign_repaired`.
+    centers, full) for the next codebook (see `_blocks`); a cluster without
+    points keeps its center. With `capped` (the Weiszfeld M-step) `full` is
+    False until the labels first repeat and True from the next iteration on
+    and at iteration max_iter; without it, always True. The loop stops on
+    repeated labels only after a full M-step. With `plateau` (the stochastic
+    ASG M-step) the loop also stops once _PLATEAU_ITERS iterations in a row
+    fail to lower the best mean distance seen by more than a relative
+    _PLATEAU_RTOL, and whatever the stop, the iterate with the lowest mean
+    distance is returned (the first on ties), its labels and distances from
+    its own `_assign_repaired`.
     Returns (centers, labels, iterations, dmin, stop_reason), dmin being
     every point's distance to its center and iterations the M-steps run.
     """
     centers, labels, dmin = _assign_repaired(x, centers.copy())
     best, best_d, stale = (centers, labels, dmin), dmin.mean(), 0
-    iterations, stop = 0, "cap"
+    iterations, stop, full = 0, "cap", not capped
     while iterations < max_iter:
         iterations += 1
+        full = full or iterations == max_iter
         previous = labels
         xs, bounds = _blocks(x, labels, centers.shape[0])
-        centers, labels, dmin = _assign_repaired(x, m_step(xs, bounds, centers))
+        centers, labels, dmin = _assign_repaired(x, m_step(xs, bounds, centers, full))
         if plateau:
             d = dmin.mean()
             stale = 0 if d < best_d * (1.0 - _PLATEAU_RTOL) else stale + 1
             if d < best_d:
                 best, best_d = (centers, labels, dmin), d
         if np.array_equal(labels, previous):
-            stop = "labels_repeat"
-            break
+            if full:
+                stop = "labels_repeat"
+                break
+            full = True
         if stale >= _PLATEAU_ITERS:
             stop = "plateau"
             break
@@ -312,10 +339,11 @@ def _best_of_restarts(x, k, algorithm, init, cfg, seed, n_start, max_iter, media
     for r in range(n_start):
         rng = spawn_rng(seed, _RESTART_STREAM, r)
         centers0 = _init_codebook(x, k, init, rng) if fixed_init is None else fixed_init
-        m_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER), "kmeans": _mean_step,
-                  "semi_online": _asg_step(cfg, rng)}[algorithm]
+        m_step = {"offline": _median_step(median_tol, _MEDIAN_MAX_ITER, _MEDIAN_WARM_STEPS),
+                  "kmeans": _mean_step, "semi_online": _asg_step(cfg, rng)}[algorithm]
         centers, labels, iterations, dmin, stop = _lloyd_once(
-            x, centers0, m_step, max_iter, plateau=algorithm == "semi_online")
+            x, centers0, m_step, max_iter, plateau=algorithm == "semi_online",
+            capped=algorithm == "offline")
         distortion = float((dmin**2 if algorithm == "kmeans" else dmin).mean())
         # only the Weiszfeld M-step counts its work; the others keep the defaults
         diagnostics = {"stop_reason": stop, **getattr(m_step, "counts", {})}
@@ -332,7 +360,10 @@ def lloyd_kmedians(points, k: int, backend: str = "weiszfeld", init: InitMethod 
     per-cluster geometric-median estimate.
 
     backend 'weiszfeld' recomputes each center by Weiszfeld iteration
-    (the offline variant); backend 'asg' runs one averaged stochastic
+    (the offline variant), capped at _MEDIAN_WARM_STEPS steps while the
+    labels still move and solved to median_tol from the iteration after
+    they first repeat and at max_iter; a stop on repeated labels follows
+    such a full solve. Backend 'asg' runs one averaged stochastic
     gradient stream of cfg.passes passes over the cluster members,
     warm-started at the previous center (the semi-online variant). The
     best of n_start restarts by empirical L1 distortion is returned. A

@@ -116,7 +116,8 @@ def test_report_counts_the_capped_median_solves(tmp_path, monkeypatch):
                        "--out", out) == 0
         clustering = json.loads((out / "report.json").read_text())["clustering"]
         r = kmedians.run_clustering(pts, 2, "offline", median_tol=1e-12)
-        for key in ("median_cap_hits", "median_batch_steps", "median_block_steps"):
+        for key in ("median_cap_hits", "median_batch_steps", "median_block_steps",
+                    "median_capped_iterations"):
             assert clustering[key] == getattr(r, key), (cap, key)
         assert (r.median_cap_hits > 0) == (cap == 1)
         assert r.median_batch_steps >= r.iterations
@@ -130,7 +131,8 @@ def test_report_lists_every_clustering_result_field(tmp_path):
     rest = [f.name for f in dataclasses.fields(ClusteringResult)
             if f.name not in ("algorithm", "centers", "labels")]
     assert rest == ["distortion", "iterations", "restarts_used", "stop_reason",
-                    "median_cap_hits", "median_batch_steps", "median_block_steps"]
+                    "median_cap_hits", "median_batch_steps", "median_block_steps",
+                    "median_capped_iterations"]
     for algorithm in ALGORITHMS:
         out = tmp_path / algorithm
         assert run_cli("cluster", "--input", data, "--k", 2, "--algorithm", algorithm,

@@ -20,6 +20,7 @@ from kmedians import (
     lloyd_kmedians,
     online_kmedians,
     run_clustering,
+    run_selection,
     weiszfeld_median,
 )
 from kmedians import clustering
@@ -444,23 +445,30 @@ def _reference_repair_empty(x, centers, labels):
     return centers, np.argmin(pairwise_distances(x, centers), axis=1)
 
 
-def _reference_lloyd(x, centers, m_step, max_iter):
+def _reference_lloyd(x, centers, m_step, max_iter, capped=False):
+    """Lloyd with m_step(members, center, full) per nonempty cluster. With `capped`
+    (the two-phase offline M-step) full is False until the labels first repeat, then
+    True, and True at iteration max_iter; the loop stops on repeated labels only
+    after a full step. Without it, full is always True."""
     centers = centers.copy()
     centers, labels = _reference_repair_empty(
         x, centers, np.argmin(pairwise_distances(x, centers), axis=1))
-    iterations = 0
+    iterations, full = 0, not capped
     for _ in range(max_iter):
         iterations += 1
+        if iterations == max_iter:
+            full = True
         for j in range(centers.shape[0]):
             mask = labels == j
             if mask.any():
-                centers[j] = m_step(x[mask], centers[j])
+                centers[j] = m_step(x[mask], centers[j], full)
         centers, new_labels = _reference_repair_empty(
             x, centers, np.argmin(pairwise_distances(x, centers), axis=1))
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        repeat = np.array_equal(new_labels, labels)
         labels = new_labels
+        if repeat and full:
+            break
+        full = full or repeat
     return centers, labels, iterations, pairwise_distances(x, centers).min(axis=1)
 
 
@@ -508,8 +516,9 @@ def _reference_weiszfeld(x, m, tol, max_iter, coincident=None):
 
 def _reference_asg_step(cfg, rng):
     """Scalar averaged stochastic gradient from the center, point by point over
-    cfg.passes permutations of the members; t counts the center as one point."""
-    def m_step(members, center):
+    cfg.passes permutations of the members; t counts the center as one point.
+    A stream has no cap, so `full` is unused."""
+    def m_step(members, center, full=True):
         m, m_bar, t = center.copy(), center.copy(), 1
         for _ in range(cfg.passes):
             for i in rng.permutation(members.shape[0]):
@@ -566,13 +575,18 @@ def _assert_same_fit(got, ref):
 
 @pytest.mark.parametrize("x,c0", [pytest.param(x, c, id=name) for name, x, c in _lloyd_cases()])
 def test_lloyd_once_matches_reference(x, c0):
-    for tol, cap in ((1e-6, 100), (1e-10, 3)):
-        def weiszfeld(members, center):
-            return _reference_weiszfeld(members, center, tol, cap)
-        _assert_same_fit(_lloyd_once(x, c0, _median_step(tol, cap), 100),
-                         _reference_lloyd(x, c0, weiszfeld, 100))
+    # the two-phase Weiszfeld step at the shipped caps, at tighter ones, and
+    # with max_iter 2, whose second iteration is full whatever the labels do
+    for tol, cap, warm, max_iter in ((1e-6, 100, clustering._MEDIAN_WARM_STEPS, 100),
+                                     (1e-10, 3, 1, 100),
+                                     (1e-6, 100, clustering._MEDIAN_WARM_STEPS, 2)):
+        def weiszfeld(members, center, full):
+            return _reference_weiszfeld(members, center, tol, cap if full else warm)
+        _assert_same_fit(_lloyd_once(x, c0, _median_step(tol, cap, warm), max_iter, capped=True),
+                         _reference_lloyd(x, c0, weiszfeld, max_iter, capped=True))
     _assert_same_fit(_lloyd_once(x, c0, _mean_step, 100),
-                     _reference_lloyd(x, c0, lambda members, center: members.mean(axis=0), 100))
+                     _reference_lloyd(x, c0, lambda members, center, full: members.mean(axis=0),
+                                      100))
     cfg = AsgConfig(passes=2)
     _assert_same_fit(_lloyd_once(x, c0, _asg_step(cfg, np.random.default_rng(7)), 3),
                      _reference_lloyd(x, c0, _reference_asg_step(cfg, np.random.default_rng(7)), 3))
@@ -675,14 +689,15 @@ def test_semi_online_stops_before_the_cap():
 # Offline and kmeans fits: (sha256 of centers and int64 labels, first 16 hex
 # digits; distortion as float.hex; iterations; restarts). The kmeans entries are
 # pinned from the commit before the semi_online plateau stop, the offline ones
-# from the one-reduceat Weiszfeld sums. Their Lloyd loop stops on repeated labels only.
+# from the two-phase (capped, then full) Weiszfeld M-step. Their Lloyd loop
+# stops on repeated labels only.
 _PINNED_FITS = {
-    ("s2", "offline", "robust_hierarchical", 5): ("62013576351468ce", "0x1.8c50b55a74fc9p+0", 7, 1),
-    ("s2", "offline", "plus_plus_l1", 3): ("496d4352f702eda1", "0x1.8c50b55a7541dp+0", 11, 3),
+    ("s2", "offline", "robust_hierarchical", 5): ("ba35754e376b38c9", "0x1.8c50b55a751b1p+0", 9, 1),
+    ("s2", "offline", "plus_plus_l1", 3): ("eb31f0a3793be93b", "0x1.8c50b55a755ecp+0", 14, 3),
     ("s2", "kmeans", "robust_hierarchical", 5): ("76ef021fac481a70", "0x1.65ec965289687p+1", 4, 1),
     ("s2", "kmeans", "plus_plus_l1", 3): ("44e871a9c6d12a2c", "0x1.65ec965289687p+1", 11, 3),
-    ("sphere10", "offline", "robust_hierarchical", 5): ("7339d1803e195153", "0x1.4ab9f681989d4p+3", 3, 1),
-    ("sphere10", "offline", "plus_plus_l1", 3): ("7437554cbc106170", "0x1.50ff5240355dfp+2", 4, 3),
+    ("sphere10", "offline", "robust_hierarchical", 5): ("d4ca61a2694f697f", "0x1.4ab9f681989d2p+3", 5, 1),
+    ("sphere10", "offline", "plus_plus_l1", 3): ("e5067750db16e29c", "0x1.50fd8334a13e3p+2", 6, 3),
     ("sphere10", "kmeans", "robust_hierarchical", 5): ("e06b525b3eb13a58", "0x1.94256d03a6decp+6", 9, 1),
     ("sphere10", "kmeans", "plus_plus_l1", 3): ("40493478fcac1941", "0x1.3f18f7275163cp+5", 5, 3),
 }
@@ -702,12 +717,28 @@ def test_offline_and_kmeans_fits_are_pinned():
         assert r.stop_reason == "labels_repeat"
 
 
+def test_slope_sweeps_end_every_offline_fit_on_repeated_labels():
+    # the two-phase M-step on the first draws of acceptance criteria 8-11: every
+    # fit of each slope sweep stops on repeated labels, no full solve capped
+    sphere = sample_mixture(MixtureSpec(sphere_centers(10, 10.0, 5, seed=30_000), 200),
+                            seed=40_000)
+    draws = {"s1": (make_scenario("s1", seed=10_000).points, 10),
+             "s2": (make_scenario("s2", seed=10_000).points, 15),
+             "s3": (make_scenario("s3", seed=10_000).points, 15),
+             "sphere10": (contaminate(sphere, ContaminationSpec(0.1, "student", df=1),
+                                      seed=50_000).points, 20)}
+    for name, (x, k_max) in draws.items():
+        curve = run_selection(x, "slope", k_max, "offline")[2]
+        for k, r in zip(curve.ks, curve.results):
+            assert (r.stop_reason, r.median_cap_hits) == ("labels_repeat", 0), (name, k)
+
+
 def test_lloyd_cases_reach_the_edge_paths():
     cases = {name: (x, c0) for name, x, c0 in _lloyd_cases()}
 
     def coincident_steps(name):
         seen = []
-        _reference_lloyd(*cases[name], lambda members, center: _reference_weiszfeld(
+        _reference_lloyd(*cases[name], lambda members, center, full: _reference_weiszfeld(
             members, center, 1e-6, 100, seen), 100)
         return seen
     # iterates on data points: on duplicated ones, on the median, and off it
@@ -740,7 +771,8 @@ def test_median_cap_hits_count_the_kept_restarts_capped_solves(monkeypatch):
     for algorithm in ALGORITHMS:
         assert run_clustering(small, 3, algorithm, n_start=2).median_cap_hits == 0, algorithm
     assert run_clustering(x, 4, "offline", seed=1).median_cap_hits == 0
-    # at a cap of 2 steps, count the unconverged solves of each restart
+    # at a full cap of 2 steps (1 while the labels move), count the unconverged
+    # full solves of each restart; a capped solve that stops unconverged is no hit
     restarts, lloyd_once, blocks = [], clustering._lloyd_once, clustering._weiszfeld_blocks
 
     def restart(*args, **kwargs):
@@ -749,13 +781,15 @@ def test_median_cap_hits_count_the_kept_restarts_capped_solves(monkeypatch):
         restarts[-1] = (out[3].mean(), sum(restarts[-1]))
         return out
 
-    def solve(*args):
-        out = blocks(*args)
-        restarts[-1].append(int(np.count_nonzero(~out[2])))
+    def solve(xs, bounds, starts, tol, max_iter):
+        out = blocks(xs, bounds, starts, tol, max_iter)
+        if max_iter == clustering._MEDIAN_MAX_ITER:
+            restarts[-1].append(int(np.count_nonzero(~out[2])))
         return out
     monkeypatch.setattr(clustering, "_lloyd_once", restart)
     monkeypatch.setattr(clustering, "_weiszfeld_blocks", solve)
     monkeypatch.setattr(clustering, "_MEDIAN_MAX_ITER", 2)
+    monkeypatch.setattr(clustering, "_MEDIAN_WARM_STEPS", 1)
     r = run_clustering(x, 4, "offline", seed=1, median_tol=1e-12,
                        init=InitMethod(kind="plus_plus_l1"), n_start=3)
     kept = min(range(len(restarts)), key=lambda i: restarts[i][0])
@@ -764,12 +798,14 @@ def test_median_cap_hits_count_the_kept_restarts_capped_solves(monkeypatch):
 
 
 def test_median_step_counts_sum_the_kept_restarts_solves(monkeypatch):
-    # batch steps: the longest solve of each M-step; block steps: every solve's steps
+    # batch steps: the longest solve of each M-step; block steps: every solve's
+    # steps, capped and full alike; capped iterations: the M-steps capped
     x = np.random.default_rng(8).normal(size=(60, 2))
     for algorithm in ALGORITHMS:
         if algorithm != "offline":
             r = run_clustering(x, 3, algorithm, n_start=2)
-            assert (r.median_batch_steps, r.median_block_steps) == (0, 0), algorithm
+            assert (r.median_batch_steps, r.median_block_steps,
+                    r.median_capped_iterations) == (0, 0, 0), algorithm
     restarts, lloyd_once, blocks = [], clustering._lloyd_once, clustering._weiszfeld_blocks
 
     def restart(*args, **kwargs):
@@ -778,17 +814,45 @@ def test_median_step_counts_sum_the_kept_restarts_solves(monkeypatch):
         restarts[-1] = (out[3].mean(), [sum(c) for c in zip(*restarts[-1])])
         return out
 
-    def solve(*args):
-        out = blocks(*args)
-        restarts[-1].append((int(out[1].max()), int(out[1].sum())))
+    def solve(xs, bounds, starts, tol, max_iter):
+        out = blocks(xs, bounds, starts, tol, max_iter)
+        restarts[-1].append((int(out[1].max()), int(out[1].sum()),
+                             int(max_iter == clustering._MEDIAN_WARM_STEPS)))
         return out
     monkeypatch.setattr(clustering, "_lloyd_once", restart)
     monkeypatch.setattr(clustering, "_weiszfeld_blocks", solve)
     r = run_clustering(x, 3, "offline", seed=1, init=InitMethod(kind="plus_plus_l1"), n_start=3)
     kept = min(range(len(restarts)), key=lambda i: restarts[i][0])
     assert len(restarts) == r.restarts_used == 3
-    assert [r.median_batch_steps, r.median_block_steps] == restarts[kept][1]
+    assert [r.median_batch_steps, r.median_block_steps,
+            r.median_capped_iterations] == restarts[kept][1]
     assert r.iterations <= r.median_batch_steps < r.median_block_steps
+    assert 0 < r.median_capped_iterations < r.iterations
+
+
+def test_every_offline_fit_ends_on_a_full_solve(monkeypatch):
+    # whether Lloyd stops on repeated labels or at max_iter, its last M-step
+    # solves every cluster to median_tol or _MEDIAN_MAX_ITER
+    fits, lloyd_once, blocks = [], clustering._lloyd_once, clustering._weiszfeld_blocks
+
+    def restart(*args, **kwargs):
+        fits.append([])
+        out = lloyd_once(*args, **kwargs)
+        fits[-1] = (out[4], fits[-1][-1])
+        return out
+
+    def solve(xs, bounds, starts, tol, max_iter):
+        fits[-1].append(max_iter)
+        return blocks(xs, bounds, starts, tol, max_iter)
+    monkeypatch.setattr(clustering, "_lloyd_once", restart)
+    monkeypatch.setattr(clustering, "_weiszfeld_blocks", solve)
+    x = make_scenario("s2", seed=1).points
+    for max_iter in (1, 2, 3, 100):
+        for init, n_start in (("robust_hierarchical", 1), ("plus_plus_l1", 3)):
+            run_clustering(x, 4, "offline", seed=1, init=InitMethod(kind=init),
+                           n_start=n_start, max_iter=max_iter)
+    assert {stop for stop, _ in fits} == {"labels_repeat", "cap"}
+    assert all(last == clustering._MEDIAN_MAX_ITER for _, last in fits), fits
 
 
 def test_lloyd_each_point_own_cluster():
