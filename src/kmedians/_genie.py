@@ -9,8 +9,13 @@ are stable under heavy-tailed contamination.
 
 The spanning tree is exact, from Borůvka rounds on a kd-tree, and its
 weights equal `np.linalg.norm(x[u] - x[v], axis=1)` bit for bit, a fixed
-order on every BLAS (the 1-D norm of one pair is a BLAS dot product). Trees
-and partitions are exact under power-of-two rescaling, at any spread.
+order on every BLAS (the 1-D norm of one pair is a BLAS dot product); the
+search's bounds add their squares in that order too (`_utils._sumsq`).
+Copies of a row join its first index at weight 0, and the rounds run on the
+distinct rows only. Trees and partitions are exact under power-of-two
+rescaling, at any spread. The merges keep one union-by-size forest, whose
+chains hold at most log2(n) links, so its root lookups need no path
+compression.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ class _Boruvka:
         # by (d + 2) eps relative at most, plus what underflow loses
         self.rtol = 16 * (d + 2) * np.finfo(float).eps
         self.atol = 2e-150
+        self._neighbours()
 
     def lower(self, r):
         """A lower bound on the weight of any edge at kd-tree distance >= r."""
@@ -92,7 +98,6 @@ class _Boruvka:
     def edges(self):
         """The tree's (u, v, w) edge arrays."""
         n = self.n
-        self._neighbours()
         self.m = n
         self.comp = np.arange(n)  # component label of each point, 0..m-1
         self.atom = np.full(n, -1)    # see shape_pieces()
@@ -107,16 +112,20 @@ class _Boruvka:
 
     def _neighbours(self):
         """Each point's nearest points, itself among them, and the weight
-        below which every point is among them."""
+        below which every point is among them; `distinct` is False when some
+        point has another at distance 0."""
         n = self.n
         k = min(_NEIGHBOURS, n)
         self.nbr = np.empty((n, k), dtype=np.int32)
         self.reach = np.full(n, np.inf)
+        self.distinct = True
         for s in range(0, n, _BLOCK):
             dist, idx = self.tree.query(self.x[s:s + _BLOCK], k=k)
+            dist = dist.reshape(-1, k)
             self.nbr[s:s + _BLOCK] = idx.reshape(-1, k)
+            self.distinct &= k < 2 or bool(dist[:, 1].all())
             if k < n:
-                self.reach[s:s + _BLOCK] = self.lower(dist.reshape(-1, k)[:, -1])
+                self.reach[s:s + _BLOCK] = self.lower(dist[:, -1])
 
     def _scan(self):
         """Take each open point's least edge in its row of neighbours as the
@@ -149,18 +158,17 @@ class _Boruvka:
         """(u, v, w) of the least edge leaving each component, given edges
         `listed` besides the known least edges of the points."""
         comp, near, bound, m = self.comp, self.near, self.bound, self.m
-        best = self._least_per_component(listed)
-        # an open point whose bound does not exceed its component's best edge
-        # must be searched up to that edge's weight
-        limit = np.full(m, np.inf)
-        limit[comp[best[0]]] = best[2]
-        seek = np.flatnonzero((near < 0) & (bound <= limit[comp]))
-        crowd = np.bincount(comp[seek], minlength=m) >= max(_CROWD, self.n // 1024)
-        if crowd.any():
-            self._pivot(seek[crowd[comp[seek]]])
+        for pivot in (True, False):     # again after a pivot pass, which finds edges
             best = self._least_per_component(listed)
+            # an open point whose bound does not exceed its component's best
+            # edge must be searched up to that edge's weight
+            limit = np.full(m, np.inf)
             limit[comp[best[0]]] = best[2]
             seek = np.flatnonzero((near < 0) & (bound <= limit[comp]))
+            crowd = np.bincount(comp[seek], minlength=m) >= max(_CROWD, self.n // 1024)
+            if not (pivot and crowd.any()):
+                break
+            self._pivot(seek[crowd[comp[seek]]])
         if seek.shape[0]:
             q, qw = _Search(self, seek, limit[comp[seek]], bound[seek]).run()
             hit = q >= 0
@@ -237,7 +245,7 @@ class _Boruvka:
             j = int(np.argmin(w))           # the least index among equally near
             near[i], bound[i], qw[t] = j, w[j], w[j]
         dp = _weights(self.x, pts, pivot[group])
-        lb = qw[group] * (1 - self.rtol) - dp * (1 + self.rtol) - self.atol
+        lb = self.lower(qw[group]) - self.upper(dp)
         keep = near[pts] < 0
         bound[pts[keep]] = np.maximum(bound[pts[keep]], lb[keep])
 
@@ -351,20 +359,15 @@ class _Search:
         distance to a piece is at least the distance to its centre less its
         radius."""
         mst = self.mst
-        centre, radius = mst.centre[pieces], mst.radius[pieces]
-        slack = 4 * (mst.x.shape[1] + 2) * np.finfo(float).eps
+        centre, radius = mst.centre[pieces].T, mst.upper(mst.radius[pieces])
         near_rows = np.zeros(rows.shape[0], dtype=bool)
         near_pieces = np.zeros(pieces.shape[0], dtype=bool)
         step = max(1, (1 << 13) // pieces.shape[0])
         for s in range(0, rows.shape[0], step):
             r = rows[s:s + step]
             y = mst.x[self.p[r]]
-            sq = np.zeros((r.shape[0], pieces.shape[0]))
-            for k in range(y.shape[1]):
-                t = y[:, k, None] - centre[:, k]
-                sq += t * t
-            top = (mst.upper(self.qw[r])[:, None] + radius * (1 + slack)) / (1 - slack)
-            ok = sq <= top * top
+            dist = np.sqrt(_sq_dists(y.T[:, :, None], centre))
+            ok = mst.lower(dist) <= mst.upper(self.qw[r])[:, None] + radius
             near_rows[s:s + step] = ok.any(axis=1)
             near_pieces |= ok.any(axis=0)
         return near_rows, near_pieces
@@ -398,18 +401,14 @@ class _Search:
 def _balls(x: np.ndarray, label: np.ndarray, count: int):
     """Centre (the mean) and radius about it of each nonempty group of rows of
     x labelled 0..count-1, and each row's squared distance to its centre in
-    stable label order; one coordinate at a time, in O(n) memory."""
+    stable label order."""
     order = np.argsort(label, kind="stable")
     size = np.bincount(label, minlength=count)
     start = np.r_[0, np.cumsum(size)[:-1]]
-    centre = np.empty((count, x.shape[1]))
-    r2 = np.zeros(order.shape[0])
-    for k in range(x.shape[1]):
-        col = x[order, k]
-        centre[:, k] = np.add.reduceat(col, start) / size
-        col -= np.repeat(centre[:, k], size)
-        r2 += col * col
-    return centre, np.maximum.reduceat(np.sqrt(r2), start), r2
+    cols = x.T[:, order]
+    centre = np.add.reduceat(cols, start, axis=1) / size
+    r2 = _sq_dists(cols, np.repeat(centre, size, axis=1))
+    return centre.T, np.maximum.reduceat(np.sqrt(r2), start), r2
 
 
 def _spanning_tree(x: np.ndarray):
@@ -421,23 +420,32 @@ def _spanning_tree(x: np.ndarray):
     bit for bit where it neither overflows nor underflows (see `_weights`); at
     any spread the tree is that of `_pow2_normalised`'s x 2**-e, its weights
     times 2**e. Returns (u, v, w) arrays in key order, u the smaller end.
-    About O(n log n) time for small d, O(n (d + 8)) memory.
+    About O(n log n) time for small d, repeated rows included, O(n (d + 8))
+    memory.
     """
     x, e = _pow2_normalised(x)
-    eu, ev, ew = _Boruvka(x).edges()
+    mst = _Boruvka(x)
+    eu, ev, ew = mst.edges() if mst.distinct else _tree_of_copies(x, mst)
     eu, ev = np.minimum(eu, ev), np.maximum(eu, ev)
     order = np.lexsort((ev, eu, ew))
     return eu[order], ev[order], np.ldexp(ew[order], e)
 
 
-def _find(parent, i: int) -> int:
-    """Root of i in the union-find forest `parent`, compressing the path."""
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        parent[i], i = root, parent[i]
-    return root
+def _tree_of_copies(x: np.ndarray, mst: _Boruvka):
+    """The edges `mst.edges()` gives for rows x that hold copies: the tree of
+    the distinct rows, each represented by its first index, and a
+    zero-weight edge from that index to each of its copies. Under the key
+    that is the tree of all rows while no two distinct rows weigh 0; where
+    a pair does (its squared distance underflows), the rounds run on all
+    rows."""
+    _, first, copy_of = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    keep, copy_of = np.sort(first), first[copy_of]
+    eu, ev, ew = _Boruvka(x[keep]).edges()
+    if not ew.all():
+        return mst.edges()
+    copy = np.flatnonzero(copy_of != np.arange(x.shape[0]))
+    return (np.r_[keep[eu], copy_of[copy]], np.r_[keep[ev], copy],
+            np.r_[ew, np.zeros(copy.shape[0])])
 
 
 class GenieHierarchy:
@@ -454,19 +462,26 @@ class GenieHierarchy:
         self.n = x.shape[0]
         self.gini_threshold = gini_threshold
         # the union-by-size forest of the merges: the root each cluster root
-        # was linked under, and at which merge (n: never)
-        self._up = np.arange(self.n)
-        self._up_at = np.full(self.n, self.n)
-        self.merges = self._merge_order(x) if self.n > 1 else []
+        # was linked under, and at which merge (n: never); `linked` lists the
+        # root linked at each merge
+        up, linked = list(range(self.n)), []
+        self.merges = self._merge_order(x, up, linked) if self.n > 1 else []
+        self._up, self._up_at = np.array(up, dtype=np.intp), np.full(self.n, self.n)
+        self._up_at[linked] = np.arange(len(linked))
 
-    def _merge_order(self, x: np.ndarray):
+    def _merge_order(self, x: np.ndarray, up: list, linked: list):
         n = self.n
         eu, ev, _ = _spanning_tree(x)
         eu, ev = eu.tolist(), ev.tolist()
 
+        def root(i):
+            # union by size keeps every chain within log2(n) links
+            while up[i] != i:
+                i = up[i]
+            return i
+
         # Clusters are subtrees of the MST, so an edge joins two clusters until
         # it is merged itself: the candidates are exactly the unused edges.
-        parent = list(range(n))       # union-find forest over the points
         size = [1] * n                # cluster size at each root
         used = [False] * (n - 1)
         count = {1: n}                # number of clusters of each size
@@ -487,8 +502,8 @@ class GenieHierarchy:
                 # s_min holds; a new s_min may make earlier edges eligible
                 if forced_size != s_min:
                     forced, forced_size = first, s_min
-                while used[forced] or (size[_find(parent, eu[forced])] != s_min
-                                       and size[_find(parent, ev[forced])] != s_min):
+                while used[forced] or (size[root(eu[forced])] != s_min
+                                       and size[root(ev[forced])] != s_min):
                     forced += 1
                 e = forced
             else:
@@ -496,7 +511,7 @@ class GenieHierarchy:
             used[e] = True
             u, v = eu[e], ev[e]
             merges.append((u, v))
-            a, b = _find(parent, u), _find(parent, v)
+            a, b = root(u), root(v)
             sa, sb = size[a], size[b]
             s = sa + sb
             # with F(z) = sum of |z - size| over the clusters before the merge,
@@ -517,9 +532,9 @@ class GenieHierarchy:
                 s_min += 1
             if sa < sb:
                 a, b = b, a
-            parent[b] = a
             size[a] = s
-            self._up[b], self._up_at[b] = a, len(merges) - 1
+            up[b] = a
+            linked.append(b)
         return merges
 
     def labels_at(self, k: int) -> np.ndarray:

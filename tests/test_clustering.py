@@ -23,7 +23,7 @@ from kmedians import (
     run_selection,
     weiszfeld_median,
 )
-from kmedians import clustering
+from kmedians import _genie, clustering
 from kmedians._genie import GenieHierarchy, _spanning_tree
 from kmedians._utils import _sq_dists, pairwise_distances
 from kmedians.clustering import (
@@ -318,6 +318,9 @@ def _tree_cases():
     five = rng.normal(size=(5, 3))
     yield "many duplicates", five[rng.integers(0, 5, size=300)]
     yield "all coincident", np.zeros((40, 2))
+    # copies, and distinct rows whose squared distance underflows to weight 0
+    yield "copies at weight 0 from other rows", np.array(
+        [[0.0, 0.0], [1e-170, 0.0], [0.0, 0.0], [1e-170, 0.0], [0.0, 1e-170], [1e-90, 1e-90]])
     yield "duplicates in a cloud", np.vstack([rng.normal(size=(200, 2)),
                                               np.repeat(rng.normal(size=(4, 2)), 25, axis=0)])
     for n in range(2, 9):    # fewer points than the first query's neighbours
@@ -343,6 +346,92 @@ def test_genie_merges_match_reference_on_small_draws():
         for g in (0.1, 0.3, 0.5, 1.0):
             assert _unoriented(GenieHierarchy(x, g).merges) == _unoriented(
                 _reference_merge_order(x, g))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pool=st.integers(1, 12), n=st.integers(1, 200), d=st.integers(1, 5),
+       grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tree_and_genie_equal_reference_on_repeated_rows(pool, n, d, grid, seed):
+    # rows drawn from a small pool, in random multiplicities and order; on an
+    # integer grid distinct rows also tie in weight
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, 3, size=(pool, d)).astype(float) if grid
+            else rng.normal(size=(pool, d)))
+    x = rows[rng.choice(pool, size=n, p=rng.dirichlet(np.ones(pool)))]
+    _assert_reference_tree(x)
+    for g in (0.1, 0.3, 1.0):
+        assert GenieHierarchy(x, g).merges == _unoriented(_reference_merge_order(x, g)), g
+
+
+def test_boruvka_rounds_run_on_distinct_rows(monkeypatch):
+    # a copy of a row joins its first copy at weight 0 before any round: many
+    # copies once made every round search among them
+    rounds = []
+    edges = _genie._Boruvka.edges
+
+    def recorded(self):
+        rounds.append(self.x.copy())
+        return edges(self)
+    monkeypatch.setattr(_genie._Boruvka, "edges", recorded)
+    rng = np.random.default_rng(4)
+    grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+    cloud = rng.normal(size=(300, 3))
+    for x in (grid[np.arange(2000) % 25], grid[rng.integers(0, 25, 2000)], np.ones((50, 2)),
+              np.vstack([cloud, cloud[:40], cloud[::7]]), cloud):
+        rounds.clear()
+        _spanning_tree(x)
+        assert len(rounds) == 1
+        assert np.unique(rounds[0], axis=0).shape[0] == rounds[0].shape[0]
+        assert rounds[0].shape[0] == np.unique(x, axis=0).shape[0]
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("kind", ["blobs", "uniform"])
+def test_search_bounds_hold_by_brute_force(monkeypatch, kind, d):
+    # a bound too narrow shows only where it happens to change a tree: check
+    # each one the search relies on against every weight
+    rng = np.random.default_rng(d)
+    if kind == "blobs":
+        x = rng.uniform(-20, 20, size=(6, d))[rng.integers(0, 6, 400)] + rng.normal(size=(400, d))
+    else:
+        x = rng.uniform(size=(400, d))
+    w = np.linalg.norm(x[:, None] - x[None], axis=2)
+    calls = {"reach": 0, "pivot": 0}
+    reach, pivot = _genie._Search.reach, _genie._Boruvka._pivot
+
+    def checked_reach(self, rows, pieces):
+        near_rows, near_pieces = reach(self, rows, pieces)
+        at = np.full(self.mst.piece_comp.shape[0], -1)
+        at[pieces] = np.arange(pieces.shape[0])
+        piece = at[self.mst.piece]          # each point's position in `pieces`, else -1
+        # no (row, piece) pair left out holds a point within the row's limit
+        dropped = (piece >= 0) & ~(near_rows[:, None] & near_pieces[piece])
+        assert (w[self.p[rows]][dropped] > np.broadcast_to(self.qw[rows, None],
+                                                            dropped.shape)[dropped]).all()
+        calls["reach"] += 1
+        return near_rows, near_pieces
+
+    def checked_pivot(self, pts):
+        before = self.bound.copy()
+        pivot(self, pts)
+        raised = np.flatnonzero(self.bound > before)
+        # every raised bound is at most the point's least weight to another component
+        other = self.comp[raised, None] != self.comp[None]
+        assert (self.bound[raised] <= np.where(other, w[raised], np.inf).min(axis=1)).all()
+        calls["pivot"] += raised.shape[0] > 0
+
+    monkeypatch.setattr(_genie._Search, "reach", checked_reach)
+    monkeypatch.setattr(_genie._Boruvka, "_pivot", checked_pivot)
+    tree = GenieHierarchy(x)
+    # uniform data seldom crowds a component enough for a pivot pass
+    assert calls["reach"] > 0 and (calls["pivot"] > 0 or kind == "uniform"), calls
+    # the merge loop finds roots with no path compression: union by size keeps
+    # every chain of the forest within log2(n) links
+    node, links = np.arange(x.shape[0]), np.zeros(x.shape[0], dtype=int)
+    while (tree._up[node] != node).any():
+        links += tree._up[node] != node
+        node = tree._up[node]
+    assert links.max() <= np.log2(x.shape[0])
 
 
 @pytest.mark.parametrize("d", list(range(1, 21)) + [129, 200])
